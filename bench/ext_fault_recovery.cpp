@@ -7,7 +7,7 @@
 #include <memory>
 
 #include "bench_util.hpp"
-#include "core/adaptive_controller.hpp"
+#include "core/pair_controller.hpp"
 #include "fault/fault_plan.hpp"
 
 using namespace iosim;
@@ -32,11 +32,12 @@ Outcome run(const fault::FaultPlan& plan, bool speculate) {
                   iosched::SchedulerPair{SchedulerKind::kDeadline,
                                          SchedulerKind::kDeadline}};
   Outcome o;
-  std::shared_ptr<core::AdaptiveController> ctl;
+  std::shared_ptr<core::PairController> ctl;
   o.r = cluster::run_job(cfg, jc, [&](cluster::Cluster& cl, mapred::Job& job) {
-    ctl = core::AdaptiveController::attach(cl, job, sched, core::PhasePlan{true});
+    ctl = core::PairController::replay(cl, sched);
+    ctl->attach_job(job, core::PhasePlan{true});
   });
-  o.switches = ctl->switches_performed();
+  o.switches = ctl->switches();
   o.switch_failures = ctl->switch_failures();
   return o;
 }

@@ -5,8 +5,8 @@
 // 3-job chain (wordcount -> sort -> wordcount w/o combiner) and reports
 // the search cost and the gain.
 #include "bench_util.hpp"
-#include "cluster/chain_runner.hpp"
 #include "core/meta_scheduler.hpp"
+#include "tenancy/chain_runner.hpp"
 
 using namespace iosim;
 using namespace iosim::bench;

@@ -24,7 +24,8 @@
 // gates them against bench/baselines/micro_sim.json in the perf-smoke CI
 // job. Metric naming contract: `*_per_sec` is higher-is-better,
 // `*_seconds` lower-is-better — bench_compare keys its direction off the
-// suffix.
+// suffix. Every probe also checks its own work (events fired, requests
+// completed and attributed); a failed check makes the bench exit 1.
 #include <array>
 #include <chrono>
 #include <cinttypes>
@@ -47,6 +48,11 @@ using namespace iosim;
 using namespace iosim::sim::literals;
 
 namespace {
+
+/// Self-check failures across all probes; any makes main() exit non-zero.
+int g_check_failures = 0;
+
+void check_failed() { ++g_check_failures; }
 
 double now_sec() {
   using clock = std::chrono::steady_clock;
@@ -105,6 +111,7 @@ double bench_schedule_fire(std::uint64_t total_events, int chains) {
   if (st.fired != total_events) {
     std::fprintf(stderr, "schedule-fire: fired %" PRIu64 " != %" PRIu64 "\n",
                  st.fired, total_events);
+    check_failed();
   }
   return wall;
 }
@@ -144,7 +151,10 @@ double bench_schedule_cancel(std::uint64_t pairs, int batch) {
     s.run();
   }
   const double wall = now_sec() - t0;
-  if (fired != 0) std::fprintf(stderr, "schedule-cancel: %" PRIu64 " leaked fires\n", fired);
+  if (fired != 0) {
+    std::fprintf(stderr, "schedule-cancel: %" PRIu64 " leaked fires\n", fired);
+    check_failed();
+  }
   return wall;
 }
 
@@ -195,6 +205,7 @@ double bench_bio_roundtrip(std::uint64_t total_bios, int depth) {
   if (st.completed != total_bios) {
     std::fprintf(stderr, "bio-roundtrip: completed %" PRIu64 " != %" PRIu64 "\n",
                  st.completed, total_bios);
+    check_failed();
   }
   return wall;
 }
@@ -256,10 +267,17 @@ double bench_domu_roundtrip(std::uint64_t total_bios, int depth, bool attr_on) {
   if (st.completed != total_bios) {
     std::fprintf(stderr, "domu-roundtrip: completed %" PRIu64 " != %" PRIu64 "\n",
                  st.completed, total_bios);
+    check_failed();
   }
-  if (attr_on && obs->attribution().records_completed() != total_bios) {
-    std::fprintf(stderr, "domu-roundtrip: attributed %" PRIu64 " != %" PRIu64 "\n",
-                 obs->attribution().records_completed(), total_bios);
+  // One attribution record per guest request: merged bios ride one record,
+  // so the count to match is the guest layer's completed requests.
+  const std::uint64_t guest_requests = vm.layer().counters().requests_completed;
+  if (attr_on && obs->attribution().records_completed() != guest_requests) {
+    std::fprintf(stderr,
+                 "domu-roundtrip: attributed %" PRIu64 " != %" PRIu64
+                 " guest requests\n",
+                 obs->attribution().records_completed(), guest_requests);
+    check_failed();
   }
   return wall;
 }
@@ -270,7 +288,8 @@ double bench_domu_roundtrip(std::uint64_t total_bios, int depth, bool attr_on) {
 // exploration budget followed by a reward() update, cycling the phase kinds
 // and feeding back the chosen arm (so the estimate tables stay warm and the
 // scored candidate set is realistic, not degenerate). No simulator — this
-// measures exactly what OnlineScheduler::pull + close_window add to a run.
+// measures exactly what the bandit's pull and reward window
+// (core::PairController) add to a run.
 
 double bench_arm_select(std::uint64_t n) {
   core::OnlineConfig cfg;
@@ -308,7 +327,10 @@ double bench_fig2_point() {
   const double t0 = now_sec();
   const auto rr = cluster::run_job(cfg, jc);
   const double wall = now_sec() - t0;
-  if (rr.failed) std::fprintf(stderr, "fig2-point: run failed: %s\n", rr.failure.c_str());
+  if (rr.failed) {
+    std::fprintf(stderr, "fig2-point: run failed: %s\n", rr.failure.c_str());
+    check_failed();
+  }
   return wall;
 }
 
@@ -398,5 +420,9 @@ int main(int argc, char** argv) {
   bench::report().add("fig2_point.wall_seconds", fig2_wall);
 
   std::printf("\n");
+  if (g_check_failures > 0) {
+    std::fprintf(stderr, "micro_sim: %d self-check(s) failed\n", g_check_failures);
+    return 1;
+  }
   return 0;
 }

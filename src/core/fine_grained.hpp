@@ -3,7 +3,7 @@
 // the VMs within the same physical node and based on the status of the
 // VMs' I/O (i.e. the number of requests)").
 //
-// Unlike the coarse AdaptiveController — which assumes the MapReduce stages
+// Unlike the coarse PairController — which assumes the MapReduce stages
 // are synchronized cluster-wide and switches every host at the global phase
 // boundary — this controller samples each host's Dom0 I/O composition
 // (read/write byte mix and observed load) on a fixed period, classifies the

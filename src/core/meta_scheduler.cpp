@@ -5,8 +5,8 @@
 #include <cstdio>
 #include <limits>
 
-#include "cluster/chain_runner.hpp"
-#include "core/adaptive_controller.hpp"
+#include "core/pair_controller.hpp"
+#include "tenancy/chain_runner.hpp"
 #include "trace/registry.hpp"
 #include "trace/trace.hpp"
 #include "virt/physical_host.hpp"
@@ -45,7 +45,7 @@ Experiment make_single_job_experiment(cluster::ClusterConfig cluster_cfg,
     cfg.pair = schedule.initial();
     return cluster::run_job_avg(
         cfg, job_conf, seeds, [&schedule, plan](cluster::Cluster& cl, mapred::Job& job) {
-          AdaptiveController::attach(cl, job, schedule, plan);
+          PairController::replay(cl, schedule)->attach_job(job, plan);
         });
   };
   return e;
@@ -57,13 +57,13 @@ Experiment make_chain_experiment(cluster::ClusterConfig cfg,
                                  std::vector<mapred::JobConf> confs,
                                  int seeds_per_eval) {
   Experiment e;
-  const int per_job = 2;  // maps / rest, the paper's merged plan
+  constexpr int per_job = 2;  // maps / rest, the paper's merged plan
   e.phases = per_job * static_cast<int>(confs.size());
 
   e.profile = [cfg, confs, seeds_per_eval](iosched::SchedulerPair p) {
     cluster::ClusterConfig c = cfg;
     c.pair = p;
-    const auto r = cluster::run_job_chain_avg(c, confs, seeds_per_eval);
+    const auto r = tenancy::run_job_chain_avg(c, confs, seeds_per_eval);
     ProfileEntry entry;
     entry.pair = p;
     entry.total_seconds = r.seconds;
@@ -81,21 +81,14 @@ Experiment make_chain_experiment(cluster::ClusterConfig cfg,
   e.execute = [cfg, confs, seeds_per_eval](const PairSchedule& schedule) {
     cluster::ClusterConfig c = cfg;
     c.pair = schedule.initial();
-    const auto chain = cluster::run_job_chain_avg(
+    // One controller per chain run, built with the run's cluster: job k's
+    // maps / rest phases are schedule phases 2k and 2k+1.
+    std::shared_ptr<PairController> ctl;
+    const auto chain = tenancy::run_job_chain_avg(
         c, confs, seeds_per_eval,
-        [&schedule](cluster::Cluster& cl, mapred::Job& job, int idx) {
-          PhaseDetector::attach(
-              job, PhasePlan{/*merge_shuffle_tail=*/true},
-              [&cl, &schedule, idx](int local_phase, sim::Time) {
-                const int global = 2 * idx + local_phase;
-                if (global == 0) return;  // installed at boot
-                if (global >= schedule.count()) return;
-                const auto& target =
-                    schedule.phases[static_cast<std::size_t>(global)];
-                if (!target.has_value()) return;
-                if (*target == cl.pair()) return;
-                cl.switch_pair(*target);
-              });
+        [&schedule, &ctl](cluster::Cluster& cl, mapred::Job& job, int idx) {
+          if (idx == 0) ctl = PairController::replay(cl, schedule);
+          ctl->attach_job(job, PhasePlan{/*merge_shuffle_tail=*/true}, per_job * idx);
         });
     cluster::RunResult out;
     out.seconds = chain.seconds;

@@ -2,15 +2,15 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <numeric>
+#include <vector>
 
 #include "core/meta_scheduler.hpp"
-#include "core/phase_detector.hpp"
+#include "core/pair_controller.hpp"
 #include "iosched/scheduler.hpp"
 #include "mapred/job_conf.hpp"
-#include "trace/registry.hpp"
-#include "trace/trace.hpp"
-#include "virt/physical_host.hpp"
+#include "sim/random.hpp"
 #include "workloads/benchmarks.hpp"
 
 namespace iosim::core {
@@ -29,15 +29,6 @@ constexpr double kEstimateAlpha = 0.3;
 /// Pulls below this count as "never sampled under the current regime" —
 /// decay_all pushes arms back under it to force re-exploration.
 constexpr double kMinPulls = 1.0;
-/// Bandit re-pull cadence inside a long phase. Cluster-phase changes are
-/// the primary pull sites, but a stationary workload would otherwise never
-/// generate pulls at all; the periodic tick lets the bandit converge on
-/// single-phase streams too.
-constexpr sim::Time kSamplePeriod = sim::Time::from_sec(5);
-/// Minimum cluster disk busy time a reward window must contain to be
-/// credited. A near-idle window (arrival lull, all jobs in CPU phases)
-/// measures nothing about the elevator and would poison the estimate.
-constexpr double kMinBusySeconds = 0.5;
 
 /// Shared estimate tables + seeded exploration order; the two policies only
 /// differ in select().
@@ -235,364 +226,31 @@ std::unique_ptr<OnlinePolicy> make_online_policy(const OnlineConfig& cfg) {
 }
 
 // ---------------------------------------------------------------------------
-// OnlineScheduler
-
-OnlineScheduler::OnlineScheduler(cluster::Cluster& cl, OnlineConfig cfg)
-    : cl_(cl),
-      cfg_(cfg),
-      event_decay_(cfg.decay > 0.0 ? cfg.decay : 0.5),
-      policy_(make_online_policy(cfg)),
-      switcher_(PairSwitcher::create(cl)) {}
-
-std::shared_ptr<OnlineScheduler> OnlineScheduler::create(cluster::Cluster& cl,
-                                                         OnlineConfig cfg) {
-  auto sched =
-      std::shared_ptr<OnlineScheduler>(new OnlineScheduler(cl, cfg));
-  std::weak_ptr<OnlineScheduler> weak = sched;
-
-  sched->switcher_->on_switched = [weak](int kind, iosched::SchedulerPair p) {
-    if (auto s = weak.lock()) {
-      ++s->arm_switches_;
-      // The window in flight contains the switch quiesce (near-zero
-      // throughput while every elevator drains); crediting it would brand
-      // the new arm with the *cost of trying it*, biasing the bandit
-      // against everything it explores. Measure the new arm from the next
-      // clean window instead.
-      s->skip_next_reward_ = true;
-      s->last_switch_ = s->cl_.simr().now();
-      if (auto* reg = trace::registry()) reg->counter("meta.arm_switches").inc();
-      if (auto* tr = trace::tracer()) {
-        if (!s->tt_arm_switch_) {
-          s->tt_arm_switch_ = tr->intern("tt_arm_switch");
-          tr->pin_name(s->tt_arm_switch_);
-        }
-        tr->instant(tr->track("meta"), s->tt_arm_switch_, tr->ids.cat_meta,
-                    s->cl_.simr().now(), tr->ids.index, kind, tr->ids.pair,
-                    virt::PhysicalHost::pair_code(p), tr->ids.value,
-                    s->arm_switches_);
-      }
-    }
-  };
-  sched->switcher_->on_switch_failed = [weak](int kind, int attempt) {
-    if (auto s = weak.lock()) {
-      if (auto* tr = trace::tracer()) {
-        tr->instant(tr->track("meta"), tr->ids.switch_fail, tr->ids.cat_meta,
-                    s->cl_.simr().now(), tr->ids.index, kind, tr->ids.attempt,
-                    attempt);
-      }
-    }
-  };
-
-  // Fault/membership events age every estimate: the cluster the bandit
-  // profiled no longer exists, so confidence bounds widen and it re-explores.
-  if (auto* ms = cl.membership()) {
-    ms->on_declared_dead([weak](int, sim::Time t) {
-      if (auto s = weak.lock()) s->on_fault_event(t);
-    });
-    ms->on_schedulable_again([weak](int, sim::Time t) {
-      if (auto s = weak.lock()) s->on_fault_event(t);
-    });
-  }
-
-  sched->agg_.on_cluster_phase = [weak](int kind) {
-    if (auto s = weak.lock()) s->enter_phase(kind, s->cl_.simr().now());
-  };
-  return sched;
-}
-
-void OnlineScheduler::attach_stream_job(mapred::Job& job) {
-  const int id = job.job_id();
-  auto self = shared_from_this();
-
-  // Chain in front of whatever the runner installs after this hook: the
-  // previous callback (if any) runs first, then the aggregator update.
-  auto prev_maps = std::move(job.on_maps_done);
-  job.on_maps_done = [self, id, prev_maps](sim::Time t) {
-    if (prev_maps) prev_maps(t);
-    self->agg_.job_phase(id, 1);
-  };
-  auto prev_shuffle = std::move(job.on_shuffle_done);
-  job.on_shuffle_done = [self, id, prev_shuffle](sim::Time t) {
-    if (prev_shuffle) prev_shuffle(t);
-    self->agg_.job_phase(id, 2);
-  };
-  auto prev_done = std::move(job.on_done);
-  job.on_done = [self, id, prev_done](sim::Time t) {
-    if (prev_done) prev_done(t);
-    self->agg_.job_retired(id);
-  };
-  auto prev_failed = std::move(job.on_failed);
-  job.on_failed = [self, id, prev_failed](sim::Time t, const std::string& why) {
-    if (prev_failed) prev_failed(t, why);
-    self->agg_.job_retired(id);
-  };
-
-  agg_.job_admitted(id);
-  if (cur_kind_ < 0) {
-    // First job: open the phase-0 reward window at the boot pair. No pull —
-    // the cluster just booted with cfg.pair and there is nothing to learn
-    // from yet.
-    cur_kind_ = 0;
-    win_start_ = cl_.simr().now();
-    run_start_ = win_start_;
-    win_bytes_ = cluster_bytes();
-    win_busy_ns_ = cluster_busy_ns();
-  }
-  ensure_ticking();
-}
-
-void OnlineScheduler::attach_single_job(mapred::Job& job, PhasePlan plan) {
-  auto self = shared_from_this();
-  const int count = plan.count();
-  PhaseDetector::attach(job, plan, [self, count](int phase, sim::Time t) {
-    // Plan phase index -> cluster phase kind: a merged shuffle+reduce tail
-    // (count == 2) maps onto the shuffle table.
-    const int kind = count >= kPhaseKinds ? phase : (phase == 0 ? 0 : 1);
-    self->enter_phase(kind, t);
-  });
-}
-
-void OnlineScheduler::enter_phase(int kind, sim::Time t) {
-  if (kind < 0 || kind >= kPhaseKinds) return;
-  if (cur_kind_ < 0) {
-    // First boundary ever (single-job attach): open the window, don't pull —
-    // the boot pair was installed for free.
-    cur_kind_ = kind;
-    win_start_ = t;
-    run_start_ = t;
-    win_bytes_ = cluster_bytes();
-    win_busy_ns_ = cluster_busy_ns();
-    return;
-  }
-  close_window(t);
-  cur_kind_ = kind;
-  pull(t);
-}
-
-void OnlineScheduler::close_window(sim::Time now) {
-  const double elapsed = (now - win_start_).sec();
-  if (skip_next_reward_) {
-    // Discard the window polluted by a switch transient: reset the
-    // baseline, credit nothing.
-    skip_next_reward_ = false;
-    win_start_ = now;
-    win_bytes_ = cluster_bytes();
-    win_busy_ns_ = cluster_busy_ns();
-    return;
-  }
-  // Normalize by disk *busy* time, not wall time. Wall-clock MB/s inverts
-  // the ranking on demand-limited streams: a fast arm drains the backlog
-  // and idles the disks (low MB/s) while a slow arm keeps them saturated
-  // (high MB/s). MB per busy second is elevator efficiency — it compares
-  // arms fairly regardless of how much work arrived. A window with almost
-  // no busy time carries no signal and is skipped, not credited as zero.
-  const double busy_s =
-      static_cast<double>(cluster_busy_ns() - win_busy_ns_) / 1e9;
-  if (cur_kind_ >= 0 && elapsed > 1e-9 && busy_s > kMinBusySeconds) {
-    const std::int64_t bytes = cluster_bytes() - win_bytes_;
-    const double mb_per_busy_s =
-        static_cast<double>(bytes) / busy_s / (1024.0 * 1024.0);
-    // Credit the pair actually installed during the window — after a failed
-    // switch that is the old pair, and the estimate should know.
-    const int arm = cl_.pair().index();
-    policy_->reward(cur_kind_, arm, mb_per_busy_s);
-    ++reward_samples_;
-    mean_reward_ += (mb_per_busy_s - mean_reward_) / reward_samples_;
-    horizon_s_ += 0.3 * (elapsed - horizon_s_);
-    if (auto* reg = trace::registry()) {
-      reg->gauge("meta.last_reward_mbps").set(mb_per_busy_s);
-      reg->gauge("meta.horizon_s").set(horizon_s_);
-    }
-  }
-  win_start_ = now;
-  win_bytes_ = cluster_bytes();
-  win_busy_ns_ = cluster_busy_ns();
-}
-
-void OnlineScheduler::pull(sim::Time t) {
-  // Dwell: after a switch, hold the new arm for at least two sample
-  // periods — one clean measurement window — before reconsidering.
-  // Without this the bandit can ping-pong faster than it can measure.
-  if (arm_switches_ > 0 && (t - last_switch_) < kSamplePeriod * 2.0) return;
-
-  const iosched::SchedulerPair cur = cl_.pair();
-  const int cur_arm = cur.index();
-
-  // Predicted switch cost, amortized over how long the chosen arm will
-  // plausibly be held, expressed in reward units. The holding horizon is
-  // the larger of the observed window EWMA and half the elapsed run: a
-  // switch adopted late in a long stream keeps paying off until the end,
-  // so its fixed quiesce cost shrinks relative to the gain — without this
-  // the penalty (scaled by the mean reward) dwarfs the value differences
-  // between arms and the bandit never leaves its boot pair.
-  std::array<double, iosched::kNumSchedulerPairs> penalty{};
-  const double rate = std::max(mean_reward_, 0.0);
-  const double amort =
-      std::max({horizon_s_, 0.5 * (t - run_start_).sec(), 1.0});
-  for (int a = 0; a < iosched::kNumSchedulerPairs; ++a) {
-    if (a == cur_arm) continue;
-    penalty[static_cast<std::size_t>(a)] =
-        predictor_.predict_seconds(cur, iosched::SchedulerPair::from_index(a)) /
-        amort * rate;
-  }
-
-  const int arm = policy_->select(cur_kind_, cur_arm, penalty);
-  ++pulls_;
-  if (auto* reg = trace::registry()) reg->counter("meta.pulls").inc();
-  if (auto* tr = trace::tracer()) {
-    if (!tt_arm_pull_) {
-      tt_arm_pull_ = tr->intern("tt_arm_pull");
-      tr->pin_name(tt_arm_pull_);
-    }
-    tr->instant(tr->track("meta"), tt_arm_pull_, tr->ids.cat_meta, t,
-                tr->ids.index, cur_kind_, tr->ids.pair,
-                virt::PhysicalHost::pair_code(
-                    iosched::SchedulerPair::from_index(arm)),
-                tr->ids.value, pulls_);
-  }
-
-  // Every pull is a decision boundary: any retry still chasing an older
-  // decision is stale, whether or not we switch now.
-  switcher_->supersede();
-  if (arm != cur_arm)
-    switcher_->request(cur_kind_, iosched::SchedulerPair::from_index(arm));
-}
-
-void OnlineScheduler::ensure_ticking() {
-  if (ticking_ || agg_.live_jobs() <= 0) return;
-  ticking_ = true;
-  std::weak_ptr<OnlineScheduler> weak = shared_from_this();
-  cl_.simr().after(kSamplePeriod, [weak] {
-    auto s = weak.lock();
-    if (!s) return;
-    s->ticking_ = false;
-    if (s->agg_.live_jobs() <= 0) return;  // stream drained; stop ticking
-    // Mid-phase re-pull: close the window, credit the installed arm, and
-    // let the policy reconsider. This is what makes the bandit converge on
-    // stationary workloads where cluster-phase changes are rare.
-    const sim::Time now = s->cl_.simr().now();
-    s->close_window(now);
-    s->pull(now);
-    s->ensure_ticking();
-  });
-}
-
-void OnlineScheduler::on_fault_event(sim::Time t) {
-  close_window(t);  // don't blame the new regime's window on the old one
-  policy_->decay_all(event_decay_);
-  ++decays_;
-  if (auto* reg = trace::registry()) reg->counter("meta.decays").inc();
-  if (auto* tr = trace::tracer()) {
-    if (!tt_arm_pull_) {
-      tt_arm_pull_ = tr->intern("tt_arm_pull");
-      tr->pin_name(tt_arm_pull_);
-    }
-    // Re-use the pull instant's track for the decay marker: index = -1
-    // distinguishes it from a real pull.
-    tr->instant(tr->track("meta"), tr->ids.probe, tr->ids.cat_meta, t,
-                tr->ids.index, -1, tr->ids.value, decays_);
-  }
-}
-
-std::int64_t OnlineScheduler::cluster_bytes() const {
-  std::int64_t total = 0;
-  for (std::size_t h = 0; h < cl_.n_hosts(); ++h) {
-    const auto& c = cl_.host(h).dom0_layer().counters();
-    total += c.bytes_completed[0] + c.bytes_completed[1];
-  }
-  return total;
-}
-
-std::uint64_t OnlineScheduler::cluster_busy_ns() const {
-  std::uint64_t total = 0;
-  for (std::size_t h = 0; h < cl_.n_hosts(); ++h) {
-    total += cl_.host(h).dom0_layer().counters().busy_ns;
-  }
-  return total;
-}
-
-// ---------------------------------------------------------------------------
-// SchedulePlayer
-
-SchedulePlayer::SchedulePlayer(cluster::Cluster& cl, PairSchedule schedule,
-                               PhasePlan plan)
-    : cl_(cl),
-      schedule_(std::move(schedule)),
-      plan_(std::move(plan)),
-      switcher_(PairSwitcher::create(cl)) {}
-
-std::shared_ptr<SchedulePlayer> SchedulePlayer::create(cluster::Cluster& cl,
-                                                       PairSchedule schedule,
-                                                       PhasePlan plan) {
-  auto player = std::shared_ptr<SchedulePlayer>(
-      new SchedulePlayer(cl, std::move(schedule), std::move(plan)));
-  std::weak_ptr<SchedulePlayer> weak = player;
-  player->switcher_->on_switched = [weak](int phase, iosched::SchedulerPair p) {
-    if (auto s = weak.lock()) {
-      if (auto* tr = trace::tracer()) {
-        tr->instant(tr->track("core"), tr->ids.pair_switch, tr->ids.cat_core,
-                    s->cl_.simr().now(), tr->ids.index, phase, tr->ids.pair,
-                    virt::PhysicalHost::pair_code(p));
-      }
-    }
-  };
-  player->switcher_->on_switch_failed = [weak](int phase, int attempt) {
-    if (auto s = weak.lock()) {
-      if (auto* tr = trace::tracer()) {
-        tr->instant(tr->track("core"), tr->ids.switch_fail, tr->ids.cat_core,
-                    s->cl_.simr().now(), tr->ids.index, phase, tr->ids.attempt,
-                    attempt);
-      }
-    }
-  };
-  player->agg_.on_cluster_phase = [weak](int kind) {
-    if (auto s = weak.lock()) s->enter_phase(kind, s->cl_.simr().now());
-  };
-  return player;
-}
-
-void SchedulePlayer::attach_stream_job(mapred::Job& job) {
-  const int id = job.job_id();
-  auto self = shared_from_this();
-  auto prev_maps = std::move(job.on_maps_done);
-  job.on_maps_done = [self, id, prev_maps](sim::Time t) {
-    if (prev_maps) prev_maps(t);
-    self->agg_.job_phase(id, 1);
-  };
-  auto prev_shuffle = std::move(job.on_shuffle_done);
-  job.on_shuffle_done = [self, id, prev_shuffle](sim::Time t) {
-    if (prev_shuffle) prev_shuffle(t);
-    self->agg_.job_phase(id, 2);
-  };
-  auto prev_done = std::move(job.on_done);
-  job.on_done = [self, id, prev_done](sim::Time t) {
-    if (prev_done) prev_done(t);
-    self->agg_.job_retired(id);
-  };
-  auto prev_failed = std::move(job.on_failed);
-  job.on_failed = [self, id, prev_failed](sim::Time t, const std::string& why) {
-    if (prev_failed) prev_failed(t, why);
-    self->agg_.job_retired(id);
-  };
-  agg_.job_admitted(id);
-  cur_kind_ = std::max(cur_kind_, 0);
-}
-
-void SchedulePlayer::enter_phase(int kind, sim::Time) {
-  if (kind < 0 || kind >= kPhaseKinds) return;
-  cur_kind_ = kind;
-  // Cluster phase kind -> schedule phase index: a two-phase schedule folds
-  // shuffle and reduce onto its tail entry.
-  const int idx =
-      schedule_.count() >= kPhaseKinds ? kind : (kind == 0 ? 0 : 1);
-  const iosched::SchedulerPair target =
-      schedule_.effective(std::min(idx, schedule_.count() - 1));
-  switcher_->supersede();
-  if (!(target == cl_.pair())) switcher_->request(idx, target);
-}
-
-// ---------------------------------------------------------------------------
 // run_stream_with_policy
+
+namespace {
+
+/// Run `spec` on a cluster built from `cfg`, under the controller `make`
+/// builds for that cluster, following the runner's aggregate phase.
+void run_controlled_stream(
+    const cluster::ClusterConfig& cfg, const tenancy::StreamSpec& spec,
+    const std::function<std::shared_ptr<PairController>(cluster::Cluster&)>& make,
+    MetaStreamResult& out) {
+  cluster::Cluster cl(cfg);
+  cl.simr().set_budget(cfg.budget);
+  const std::shared_ptr<PairController> ctl = make(cl);
+  tenancy::StreamRunner sr(cl, spec);
+  ctl->attach_stream(sr.phases());
+  sr.start();
+  cl.simr().run();
+  out.stream = sr.finish();
+  out.arm_pulls = ctl->pulls();
+  out.arm_switches = ctl->switches();
+  out.switch_failures = ctl->switch_failures();
+  out.decays = ctl->decays();
+}
+
+}  // namespace
 
 MetaStreamResult run_stream_with_policy(cluster::ClusterConfig cfg,
                                         const tenancy::StreamSpec& spec) {
@@ -638,16 +296,10 @@ MetaStreamResult run_stream_with_policy(cluster::ClusterConfig cfg,
 
     cfg.pair = r.solution.initial();
     out.boot_pair = cfg.pair.letters();
-    auto holder = std::make_shared<std::shared_ptr<SchedulePlayer>>();
-    const PairSchedule solution = r.solution;
-    const PhasePlan plan = opts.plan;
-    out.stream = tenancy::run_stream(
+    run_controlled_stream(
         cfg, spec,
-        [holder, solution, plan](cluster::Cluster& cl, mapred::Job& job, int) {
-          if (!*holder) *holder = SchedulePlayer::create(cl, solution, plan);
-          (*holder)->attach_stream_job(job);
-        });
-    if (*holder) out.arm_switches = (*holder)->switches_performed();
+        [&r](cluster::Cluster& cl) { return PairController::replay(cl, r.solution); },
+        out);
     return out;
   }
 
@@ -655,18 +307,10 @@ MetaStreamResult run_stream_with_policy(cluster::ClusterConfig cfg,
   const OnlineConfig oc =
       OnlineConfig::from_meta(m, sim::derive_run_seed(cfg.seed, 3));
   out.boot_pair = cfg.pair.letters();
-  auto holder = std::make_shared<std::shared_ptr<OnlineScheduler>>();
-  out.stream = tenancy::run_stream(
-      cfg, spec, [holder, oc](cluster::Cluster& cl, mapred::Job& job, int) {
-        if (!*holder) *holder = OnlineScheduler::create(cl, oc);
-        (*holder)->attach_stream_job(job);
-      });
-  if (*holder) {
-    out.arm_pulls = (*holder)->pulls();
-    out.arm_switches = (*holder)->arm_switches();
-    out.switch_failures = (*holder)->switch_failures();
-    out.decays = (*holder)->decays();
-  }
+  run_controlled_stream(
+      cfg, spec,
+      [&oc](cluster::Cluster& cl) { return PairController::bandit(cl, oc); },
+      out);
   return out;
 }
 

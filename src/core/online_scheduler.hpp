@@ -4,8 +4,10 @@
 //
 // The paper's Algorithm 1 needs a profiling corpus measured before the run;
 // in an open-arrival, fault-degraded stream that corpus goes stale the
-// moment the mix shifts or a VM is blacklisted. The OnlineScheduler instead
-// learns pair quality *during* the run:
+// moment the mix shifts or a VM is blacklisted. The bandit instead learns
+// pair quality *during* the run. This header holds its policies; the
+// runtime half (reward window, pulls, switches, decay) is the bandit policy
+// of core::PairController (core/pair_controller.hpp):
 //
 //   arms      the 16 scheduler pairs, one bandit table per cluster phase
 //             kind (map / shuffle / reduce — the PhaseAggregator's modal
@@ -23,8 +25,8 @@
 //             reality, not intent).
 //   pulls     at every cluster-phase change the policy picks the arm for
 //             the new phase; a different arm than the installed one issues
-//             a cluster-wide switch through the shared PairSwitcher (same
-//             retry/supersede semantics as the offline controller).
+//             a cluster-wide switch through the controller's PairSwitcher
+//             (same retry/supersede semantics as schedule replay).
 //   switch    candidate arms are discounted by the predicted switch cost
 //   cost      from the non-commutative SwitchPredictor matrix, amortized
 //             over the expected phase duration and converted to reward
@@ -55,16 +57,9 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "cluster/cluster.hpp"
-#include "core/pair_schedule.hpp"
-#include "core/pair_switcher.hpp"
-#include "core/phase_plan.hpp"
-#include "core/switch_predictor.hpp"
-#include "sim/random.hpp"
-#include "tenancy/phase_agg.hpp"
-#include "trace/trace.hpp"
+#include "iosched/pair.hpp"
 #include "tenancy/stream_runner.hpp"
 #include "tenancy/stream_spec.hpp"
 
@@ -108,7 +103,7 @@ struct ArmStats {
 };
 
 /// Common interface of the bandit policies. Implementations own the
-/// (phase kind x 16 arm) estimate tables; the OnlineScheduler owns reward
+/// (phase kind x 16 arm) estimate tables; core::PairController owns reward
 /// measurement, switch execution, and telemetry.
 class OnlinePolicy {
  public:
@@ -131,119 +126,12 @@ class OnlinePolicy {
 /// Factory for the policy named in `cfg.kind` (kUcb / kEgreedy).
 std::unique_ptr<OnlinePolicy> make_online_policy(const OnlineConfig& cfg);
 
-/// The shared learning state plus its runtime wiring. One instance serves a
-/// whole run: concurrent stream jobs all feed the same tables (attach each
-/// via attach_stream_job from a StreamSetupHook), and single jobs attach a
-/// PhaseDetector (AdaptiveController::attach_online).
-class OnlineScheduler : public std::enable_shared_from_this<OnlineScheduler> {
- public:
-  static std::shared_ptr<OnlineScheduler> create(cluster::Cluster& cl,
-                                                 OnlineConfig cfg);
-
-  /// Stream wiring: chain this job's phase/lifecycle callbacks into the
-  /// shared PhaseAggregator. Call from a StreamSetupHook — the runner
-  /// chains its own callbacks after the hook, so both see every event.
-  void attach_stream_job(mapred::Job& job);
-
-  /// Single-job wiring: PhaseDetector boundaries drive the same learning
-  /// state (plan phase indices map onto phase kinds).
-  void attach_single_job(mapred::Job& job, PhasePlan plan);
-
-  /// The bandit step: close the reward window, credit the installed arm,
-  /// pull, and switch if the policy picked a different arm. Exposed for
-  /// tests; normal operation reaches it through the attach_* wiring.
-  void enter_phase(int kind, sim::Time t);
-
-  /// Age every estimate now (also invoked by membership events).
-  void on_fault_event(sim::Time t);
-
-  int pulls() const { return pulls_; }
-  int arm_switches() const { return arm_switches_; }
-  int switch_failures() const { return switcher_->failures(); }
-  int decays() const { return decays_; }
-  const OnlinePolicy& policy() const { return *policy_; }
-
- private:
-  OnlineScheduler(cluster::Cluster& cl, OnlineConfig cfg);
-
-  void close_window(sim::Time now);
-  void pull(sim::Time t);
-  void ensure_ticking();
-  std::int64_t cluster_bytes() const;
-  std::uint64_t cluster_busy_ns() const;
-
-  cluster::Cluster& cl_;
-  OnlineConfig cfg_;
-  double event_decay_;  // resolved decay factor for on_fault_event
-  std::unique_ptr<OnlinePolicy> policy_;
-  std::shared_ptr<PairSwitcher> switcher_;
-  SwitchPredictor predictor_;
-  tenancy::PhaseAggregator agg_;
-
-  int cur_kind_ = -1;
-  sim::Time win_start_ = sim::Time::zero();
-  std::int64_t win_bytes_ = 0;
-  std::uint64_t win_busy_ns_ = 0;
-  /// When the first reward window opened. The switch-cost amortization
-  /// horizon grows with elapsed run time: an arm adopted now is held for
-  /// (roughly) the rest of the run, so a fixed quiesce cost matters less
-  /// and less as the stream progresses.
-  sim::Time run_start_ = sim::Time::zero();
-  /// EWMA of observed phase-window durations, the amortization horizon for
-  /// the switch-cost discount (seeded pessimistically short so early pulls
-  /// are switch-shy).
-  double horizon_s_ = 10.0;
-  /// Running mean reward, the scale that converts predicted switch seconds
-  /// into reward units.
-  double mean_reward_ = 0.0;
-  int reward_samples_ = 0;
-
-  int pulls_ = 0;
-  int arm_switches_ = 0;
-  int decays_ = 0;
-  /// Periodic mid-phase re-pull is armed while stream jobs are live.
-  bool ticking_ = false;
-  /// The next close_window discards its sample: it contains a switch
-  /// quiesce, which would bias estimates against explored arms.
-  bool skip_next_reward_ = false;
-  /// When the last switch landed (dwell gate: hold an arm long enough to
-  /// measure it before reconsidering).
-  sim::Time last_switch_ = sim::Time::zero();
-  /// Lazily interned-and-pinned instant names (0 = not yet interned).
-  trace::Str tt_arm_pull_ = 0;
-  trace::Str tt_arm_switch_ = 0;
-};
-
-/// Replays a precomputed PairSchedule at *cluster* phase changes — the
-/// offline greedy (or any hand-built schedule) deployed on an open-arrival
-/// stream, where per-job AdaptiveControllers would fight each other. Shares
-/// the PairSwitcher failure semantics with the online controller.
-class SchedulePlayer : public std::enable_shared_from_this<SchedulePlayer> {
- public:
-  static std::shared_ptr<SchedulePlayer> create(cluster::Cluster& cl,
-                                                PairSchedule schedule,
-                                                PhasePlan plan);
-
-  void attach_stream_job(mapred::Job& job);
-  void enter_phase(int kind, sim::Time t);
-  int switches_performed() const { return switcher_->switches(); }
-
- private:
-  SchedulePlayer(cluster::Cluster& cl, PairSchedule schedule, PhasePlan plan);
-
-  cluster::Cluster& cl_;
-  PairSchedule schedule_;
-  PhasePlan plan_;
-  std::shared_ptr<PairSwitcher> switcher_;
-  tenancy::PhaseAggregator agg_;
-  int cur_kind_ = -1;
-};
-
 /// Outcome of a policy-driven stream run (exp::execute_point and the tests
 /// read the controller counters next to the stream result).
 struct MetaStreamResult {
   tenancy::StreamResult stream;
-  /// Bandit telemetry (zero for static/offline/none).
+  /// Controller telemetry (zero for static/none). Pulls and decays are the
+  /// bandit's; offline replay reports its switches and switch failures.
   int arm_pulls = 0;
   int arm_switches = 0;
   int switch_failures = 0;
@@ -263,8 +151,10 @@ struct MetaStreamResult {
 ///   kOffline          profile + Algorithm 1 on a side cluster (the class
 ///                     named by meta.profile, default the first class;
 ///                     sizes pinned to the class midpoint), then replay the
-///                     schedule at cluster phase changes via SchedulePlayer
-///   kUcb / kEgreedy   shared OnlineScheduler attached to every job
+///                     schedule at cluster phase changes
+///   kUcb / kEgreedy   one bandit following the cluster phase of every job
+/// Both controlled cases run one PairController on the stream runner's
+/// aggregate phase (core/pair_controller.hpp).
 /// The bandit seed derives from cfg.seed (reserved stream seed index 3), so
 /// the whole run remains a pure function of (cfg, spec).
 MetaStreamResult run_stream_with_policy(cluster::ClusterConfig cfg,

@@ -1,14 +1,12 @@
-// iosim: the cluster-wide pair-switch command, factored out of
-// AdaptiveController so every controller shares one failure semantics.
+// iosim: the cluster-wide pair-switch command with its retry semantics,
+// owned by core::PairController (one switcher per controller).
 //
 // A switch travels through the cluster's fault layer
 // (Cluster::try_switch_pair). A rejected command leaves the old pair
 // installed and is retried with capped exponential backoff; a pending retry
 // goes inert the moment a newer request supersedes it (its target has been
-// overtaken by a fresher decision). Callers observe outcomes through the
-// on_switched / on_switch_failed hooks — the offline controller traces
-// pair_switch instants, the online controller tt_arm_switch ones, but the
-// retry machinery underneath is byte-identical.
+// overtaken by a fresher decision). The owner observes outcomes through the
+// on_switched / on_switch_failed hooks.
 #pragma once
 
 #include <functional>

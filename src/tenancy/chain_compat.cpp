@@ -1,4 +1,4 @@
-// iosim: cluster::run_job_chain, rehosted on the stream engine.
+// iosim: tenancy::run_job_chain, rehosted on the stream engine.
 //
 // The chain API predates multi-tenancy; it survives because the
 // meta-scheduler, the chain tests, and ext_job_chain all speak it. The
@@ -9,32 +9,32 @@
 // trace_digest_test holds the line.
 #include <cassert>
 
-#include "cluster/chain_runner.hpp"
 #include "sim/random.hpp"
+#include "tenancy/chain_runner.hpp"
 #include "tenancy/stream_runner.hpp"
 
-namespace iosim::cluster {
+namespace iosim::tenancy {
 
-ChainResult run_job_chain(const ClusterConfig& cfg,
+ChainResult run_job_chain(const cluster::ClusterConfig& cfg,
                           const std::vector<mapred::JobConf>& confs,
                           const ChainSetupHook& setup) {
   assert(!confs.empty());
-  Cluster cl(cfg);
-  std::vector<tenancy::StreamRunner::PlannedEntry> plan;
+  cluster::Cluster cl(cfg);
+  std::vector<StreamRunner::PlannedEntry> plan;
   plan.reserve(confs.size());
   for (std::size_t i = 0; i < confs.size(); ++i) {
-    tenancy::StreamRunner::PlannedEntry e;
+    StreamRunner::PlannedEntry e;
     e.conf = confs[i];
     e.seed = cfg.seed ^ (0x9E3779B97F4A7C15ULL + static_cast<std::uint64_t>(i));
     plan.push_back(std::move(e));
   }
-  tenancy::StreamRunner::Options opts;
+  StreamRunner::Options opts;
   opts.sequential = true;
   opts.setup = setup;
-  tenancy::StreamRunner sr(cl, std::move(plan), std::move(opts));
+  StreamRunner sr(cl, std::move(plan), std::move(opts));
   sr.start();
   cl.simr().run();
-  const tenancy::StreamResult res = sr.finish();
+  const StreamResult res = sr.finish();
 
   ChainResult r;
   for (std::size_t i = 0; i < confs.size(); ++i) {
@@ -47,13 +47,13 @@ ChainResult run_job_chain(const ClusterConfig& cfg,
   return r;
 }
 
-ChainResult run_job_chain_avg(const ClusterConfig& cfg,
+ChainResult run_job_chain_avg(const cluster::ClusterConfig& cfg,
                               const std::vector<mapred::JobConf>& confs,
                               int n_seeds, const ChainSetupHook& setup) {
   assert(n_seeds > 0);
   ChainResult acc;
   for (int i = 0; i < n_seeds; ++i) {
-    ClusterConfig c = cfg;
+    cluster::ClusterConfig c = cfg;
     c.seed = sim::derive_run_seed(cfg.seed, static_cast<std::uint64_t>(i));
     ChainResult r = run_job_chain(c, confs, setup);
     if (i == 0) acc.jobs = r.jobs;
@@ -63,4 +63,4 @@ ChainResult run_job_chain_avg(const ClusterConfig& cfg,
   return acc;
 }
 
-}  // namespace iosim::cluster
+}  // namespace iosim::tenancy

@@ -8,8 +8,8 @@
 // running jobs, ties resolved toward the earlier phase (map < shuffle <
 // reduce — the conservative choice, since map-phase I/O dominates a mixed
 // disk's access pattern). The stream engine feeds the result to
-// obs::Attribution::set_phase and, optionally, to an adaptive per-phase
-// pair switch.
+// obs::Attribution::set_phase and, optionally, to a core::PairController
+// that switches the elevator pair per cluster phase.
 #pragma once
 
 #include <functional>
@@ -22,8 +22,14 @@ class PhaseAggregator {
   /// Fires when the aggregate phase changes (0 = map, 1 = shuffle,
   /// 2 = reduce). Never fires twice for the same value.
   std::function<void(int)> on_cluster_phase;
+  /// Fires after every admission, once the aggregate phase is settled.
+  std::function<void()> on_job_admitted;
 
-  void job_admitted(int job_id) { jobs_.push_back({job_id, 0}); recompute(); }
+  void job_admitted(int job_id) {
+    jobs_.push_back({job_id, 0});
+    recompute();
+    if (on_job_admitted) on_job_admitted();
+  }
   void job_phase(int job_id, int phase) {
     for (auto& [id, ph] : jobs_) {
       if (id == job_id) ph = phase;

@@ -30,7 +30,47 @@ void emit_job_instant(const char* name, int job_id, int class_index,
               tr->intern("arg"), arg);
 }
 
+std::vector<StreamRunner::PlannedEntry> plan_entries(const StreamSpec& spec,
+                                                    std::uint64_t seed) {
+  const std::vector<PlannedJob> plan = plan_arrivals(spec, seed);
+  std::vector<StreamRunner::PlannedEntry> entries;
+  entries.reserve(plan.size());
+  for (std::size_t j = 0; j < plan.size(); ++j) {
+    const ClassSpec& cls = spec.classes[static_cast<std::size_t>(plan[j].class_index)];
+    const auto model = workloads::by_name(cls.workload);
+    assert(model.has_value() && "StreamSpec::parse vets workload names");
+    StreamRunner::PlannedEntry e;
+    e.t_arrive_s = plan[j].t_arrive_s;
+    e.conf = workloads::make_job(*model,
+                                 static_cast<std::int64_t>(plan[j].size_mb) * mapred::kMiB);
+    e.seed = sim::derive_run_seed(seed, kJobSeedBase + j);
+    e.class_index = plan[j].class_index;
+    e.size_mb = plan[j].size_mb;
+    e.deadline_s = cls.deadline_s;
+    entries.push_back(std::move(e));
+  }
+  return entries;
+}
+
+StreamRunner::Options stream_options(const StreamSpec& spec, StreamSetupHook setup) {
+  StreamRunner::Options opts;
+  opts.sequential = false;
+  opts.policy = spec.policy;
+  opts.classes = spec.classes;
+  opts.setup = std::move(setup);
+  opts.max_active = spec.max_active;
+  opts.max_queue = spec.max_queue;
+  opts.job_retries = spec.job_retries;
+  opts.retry_backoff_s = spec.retry_backoff_s;
+  return opts;
+}
+
 }  // namespace
+
+StreamRunner::StreamRunner(cluster::Cluster& cl, const StreamSpec& spec,
+                           StreamSetupHook setup)
+    : StreamRunner(cl, plan_entries(spec, cl.config().seed),
+                   stream_options(spec, std::move(setup))) {}
 
 StreamRunner::StreamRunner(cluster::Cluster& cl, std::vector<PlannedEntry> plan,
                            Options opts)
@@ -365,36 +405,9 @@ StreamResult StreamRunner::finish() {
 
 StreamResult run_stream(const cluster::ClusterConfig& cfg, const StreamSpec& spec,
                         const StreamSetupHook& setup) {
-  const std::vector<PlannedJob> plan = plan_arrivals(spec, cfg.seed);
-  std::vector<StreamRunner::PlannedEntry> entries;
-  entries.reserve(plan.size());
-  for (std::size_t j = 0; j < plan.size(); ++j) {
-    const ClassSpec& cls = spec.classes[static_cast<std::size_t>(plan[j].class_index)];
-    const auto model = workloads::by_name(cls.workload);
-    assert(model.has_value() && "StreamSpec::parse vets workload names");
-    StreamRunner::PlannedEntry e;
-    e.t_arrive_s = plan[j].t_arrive_s;
-    e.conf = workloads::make_job(*model,
-                                 static_cast<std::int64_t>(plan[j].size_mb) * mapred::kMiB);
-    e.seed = sim::derive_run_seed(cfg.seed, kJobSeedBase + j);
-    e.class_index = plan[j].class_index;
-    e.size_mb = plan[j].size_mb;
-    e.deadline_s = cls.deadline_s;
-    entries.push_back(std::move(e));
-  }
-
   cluster::Cluster cl(cfg);
   cl.simr().set_budget(cfg.budget);
-  StreamRunner::Options opts;
-  opts.sequential = false;
-  opts.policy = spec.policy;
-  opts.classes = spec.classes;
-  opts.setup = setup;
-  opts.max_active = spec.max_active;
-  opts.max_queue = spec.max_queue;
-  opts.job_retries = spec.job_retries;
-  opts.retry_backoff_s = spec.retry_backoff_s;
-  StreamRunner sr(cl, std::move(entries), std::move(opts));
+  StreamRunner sr(cl, spec, setup);
   sr.start();
   cl.simr().run();
   return sr.finish();

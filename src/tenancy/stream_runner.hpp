@@ -12,7 +12,7 @@
 //     anticipation heuristics key on ctx, so cross-job ctx collisions would
 //     merge think-time histories), per-job auditor accounts, and per-class
 //     sojourn sketches for the SLA report.
-//   * Sequential chains (cluster::run_job_chain delegates here): the
+//   * Sequential chains (tenancy::run_job_chain delegates here): the
 //     degenerate back-to-back stream — job k+1 is admitted inside job k's
 //     completion, no arbiter, legacy identity (job_id 0, ctx_base 0).
 //     Byte-identical to the pre-stream chain runner; the pinned chain
@@ -152,6 +152,10 @@ class StreamRunner {
   };
 
   StreamRunner(cluster::Cluster& cl, std::vector<PlannedEntry> plan, Options opts);
+  /// The open-arrival run of `spec` that run_stream performs: the plan
+  /// derives from the cluster's seed.
+  StreamRunner(cluster::Cluster& cl, const StreamSpec& spec,
+               StreamSetupHook setup = {});
   ~StreamRunner();
   StreamRunner(const StreamRunner&) = delete;
   StreamRunner& operator=(const StreamRunner&) = delete;
@@ -165,6 +169,10 @@ class StreamRunner {
   StreamResult finish();
 
   const mapred::JobStats& job_stats(int index) const;
+
+  /// The cluster phase folded over the live jobs (open-arrival mode only;
+  /// a sequential chain never feeds it). Pair controllers follow it.
+  PhaseAggregator& phases() { return phases_; }
 
  private:
   void arrive(int index);

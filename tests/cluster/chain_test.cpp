@@ -1,4 +1,4 @@
-#include "cluster/chain_runner.hpp"
+#include "tenancy/chain_runner.hpp"
 
 #include <gtest/gtest.h>
 
@@ -7,6 +7,9 @@
 
 namespace iosim::cluster {
 namespace {
+
+using tenancy::run_job_chain;
+using tenancy::run_job_chain_avg;
 
 ClusterConfig tiny() {
   ClusterConfig cfg;

@@ -15,9 +15,9 @@
 #include <cstdint>
 #include <string>
 
-#include "cluster/chain_runner.hpp"
 #include "cluster/runner.hpp"
 #include "exp/artifact.hpp"
+#include "tenancy/chain_runner.hpp"
 #include "trace/trace.hpp"
 #include "workloads/benchmarks.hpp"
 
@@ -70,7 +70,7 @@ TEST(TraceDigest, ChainedRunMatchesPreStreamDigest) {
       workloads::make_job(workloads::stream_sort(), 16 * mapred::kMiB),
       workloads::make_job(workloads::wordcount_no_combiner(), 16 * mapred::kMiB),
   };
-  const auto r = cluster::run_job_chain(cfg, confs);
+  const auto r = tenancy::run_job_chain(cfg, confs);
   EXPECT_EQ(r.jobs.size(), confs.size());
   const std::string json = session.tracer().to_json();
   const std::uint64_t digest = exp::fnv1a64(json);

@@ -1,12 +1,14 @@
-// Tests for phase planning/detection, pair schedules, and the adaptive
-// controller.
+// Tests for phase planning/detection, pair schedules, and schedule replay
+// through the pair controller (the AdaptiveController suite: one job, one
+// schedule).
 #include <gtest/gtest.h>
 
 #include "cluster/runner.hpp"
-#include "core/adaptive_controller.hpp"
+#include "core/pair_controller.hpp"
 #include "core/pair_schedule.hpp"
 #include "core/phase_detector.hpp"
 #include "core/phase_plan.hpp"
+#include "trace/trace.hpp"
 #include "workloads/benchmarks.hpp"
 
 namespace iosim::core {
@@ -132,11 +134,12 @@ TEST(AdaptiveController, SwitchesAtMapsDone) {
   PairSchedule sched;
   sched.phases = {cfg.pair,
                   iosched::SchedulerPair{SchedulerKind::kDeadline, SchedulerKind::kDeadline}};
-  auto ctl = AdaptiveController::attach(cl, job, sched, PhasePlan{true});
+  auto ctl = PairController::replay(cl, sched);
+  ctl->attach_job(job, PhasePlan{true});
   job.run();
   cl.simr().run();
   EXPECT_TRUE(job.done());
-  EXPECT_EQ(ctl->switches_performed(), 1);
+  EXPECT_EQ(ctl->switches(), 1);
   EXPECT_EQ(cl.pair().vmm, SchedulerKind::kDeadline);
   EXPECT_EQ(cl.host(0).dom0_layer().counters().scheduler_switches, 1u);
 }
@@ -146,28 +149,50 @@ TEST(AdaptiveController, NoSwitchForNulloptPhase) {
   cluster::Cluster cl(cfg);
   auto jc = workloads::make_job(workloads::stream_sort(), 128 * mapred::kMiB);
   mapred::Job job(cl.env(), jc, 3);
-  auto ctl = AdaptiveController::attach(
-      cl, job, PairSchedule::single(cfg.pair, 2), PhasePlan{true});
+  auto ctl = PairController::replay(cl, PairSchedule::single(cfg.pair, 2));
+  ctl->attach_job(job, PhasePlan{true});
   job.run();
   cl.simr().run();
-  EXPECT_EQ(ctl->switches_performed(), 0);
+  EXPECT_EQ(ctl->switches(), 0);
   EXPECT_EQ(cl.host(0).dom0_layer().counters().scheduler_switches, 0u);
 }
 
 TEST(AdaptiveController, SwitchCostSlowsTheJob) {
-  // A schedule that switches to the SAME effective behaviour still pays the
-  // quiesce: the run must not be faster than the plain single-pair run.
+  // Re-issuing the switch command for the SAME pair still pays the
+  // quiesce: the run must not be faster than the plain single-pair run. No
+  // controller issues a same-pair switch, so the command goes straight to
+  // the cluster at maps-done.
   auto jc = workloads::make_job(workloads::stream_sort(), 128 * mapred::kMiB);
   const double plain = cluster::run_job(tiny(), jc).seconds;
 
-  PairSchedule with_switch;
-  with_switch.phases = {iosched::kDefaultPair,
-                        iosched::SchedulerPair{SchedulerKind::kCfq, SchedulerKind::kCfq}};
+  std::uint64_t quiesces = 0;
   const double switched =
       cluster::run_job(tiny(), jc, [&](cluster::Cluster& cl, mapred::Job& job) {
-        AdaptiveController::attach(cl, job, with_switch, PhasePlan{true});
+        job.on_maps_done = [&cl](Time) { cl.switch_pair(cl.pair()); };
+        job.on_done = [&cl, &quiesces](Time) {
+          quiesces = cl.host(0).dom0_layer().counters().scheduler_switches;
+        };
       }).seconds;
+  EXPECT_EQ(quiesces, 1u);
   EXPECT_GE(switched, plain - 1e-9);
+}
+
+TEST(AdaptiveController, SamePairEntryIssuesNoSwitch) {
+  // A schedule entry naming the pair already installed is not a switch:
+  // the controller requests one only when the decided pair differs.
+  ClusterConfig cfg = tiny();
+  cluster::Cluster cl(cfg);
+  auto jc = workloads::make_job(workloads::stream_sort(), 128 * mapred::kMiB);
+  mapred::Job job(cl.env(), jc, 3);
+  PairSchedule sched;
+  sched.phases = {cfg.pair, cfg.pair};
+  auto ctl = PairController::replay(cl, sched);
+  ctl->attach_job(job, PhasePlan{true});
+  job.run();
+  cl.simr().run();
+  EXPECT_TRUE(job.done());
+  EXPECT_EQ(ctl->switches(), 0);
+  EXPECT_EQ(cl.host(0).dom0_layer().counters().scheduler_switches, 0u);
 }
 
 // ---- switch-retry backoff (graceful degradation under a faulted
@@ -205,48 +230,77 @@ TEST(AdaptiveController, FailedSwitchRetriesWithBackoffThenLands) {
   char plan[64];
   std::snprintf(plan, sizeof plan, "switchfail:p=1,until=%.3f", t_maps + 1.0);
   const ClusterConfig cfg = tiny_with_faults(plan);
-  std::shared_ptr<AdaptiveController> ctl;
+  std::shared_ptr<PairController> ctl;
   const auto r =
       cluster::run_job(cfg, jc, [&](cluster::Cluster& cl, mapred::Job& job) {
-        ctl = AdaptiveController::attach(cl, job, to_deadline(cfg), PhasePlan{true});
+        ctl = PairController::replay(cl, to_deadline(cfg));
+        ctl->attach_job(job, PhasePlan{true});
       });
   EXPECT_FALSE(r.failed);
   EXPECT_EQ(ctl->switch_failures(), 2);
   EXPECT_EQ(ctl->switch_retries(), 2);  // one failed retry + the one that landed
-  EXPECT_EQ(ctl->switches_performed(), 1);
+  EXPECT_EQ(ctl->switches(), 1);
 }
 
 TEST(AdaptiveController, PermanentSwitchFailureKeepsOldPairAndGivesUp) {
   auto jc = workloads::make_job(workloads::stream_sort(), 128 * mapred::kMiB);
   const ClusterConfig cfg = tiny_with_faults("switchfail:p=1");
-  std::shared_ptr<AdaptiveController> ctl;
+  std::shared_ptr<PairController> ctl;
   iosched::SchedulerPair final_pair;
   const auto r =
       cluster::run_job(cfg, jc, [&](cluster::Cluster& cl, mapred::Job& job) {
-        ctl = AdaptiveController::attach(cl, job, to_deadline(cfg), PhasePlan{true});
+        ctl = PairController::replay(cl, to_deadline(cfg));
+        ctl->attach_job(job, PhasePlan{true});
         job.on_done = [&cl, &final_pair](Time) { final_pair = cl.pair(); };
       });
   EXPECT_FALSE(r.failed);  // the job itself is fine under the old pair
-  EXPECT_EQ(ctl->switches_performed(), 0);
+  EXPECT_EQ(ctl->switches(), 0);
   EXPECT_EQ(final_pair, cfg.pair);
   // Retry budget: initial attempt + kMaxRetries retries, then give up.
-  EXPECT_LE(ctl->switch_failures(), AdaptiveController::kMaxRetries + 1);
+  EXPECT_LE(ctl->switch_failures(), PairSwitcher::kMaxRetries + 1);
   EXPECT_GE(ctl->switch_failures(), 2);
-  EXPECT_LE(ctl->switch_retries(), AdaptiveController::kMaxRetries);
+  EXPECT_LE(ctl->switch_retries(), PairSwitcher::kMaxRetries);
+}
+
+TEST(AdaptiveController, FailedSwitchIsRequestedAgainAtTheNextBoundary) {
+  // The map->shuffle switch never lands. Phase 2's schedule entry is "0",
+  // but replay resolves it to the intended pair (PairSchedule::effective),
+  // which still differs from the installed one: the boundary asks again.
+  auto jc = workloads::make_job(workloads::stream_sort(), 128 * mapred::kMiB);
+  const ClusterConfig cfg = tiny_with_faults("switchfail:p=1");
+  PairSchedule sched = to_deadline(cfg);
+  sched.phases.push_back(std::nullopt);
+  trace::TraceSession session;
+  std::shared_ptr<PairController> ctl;
+  const auto r =
+      cluster::run_job(cfg, jc, [&](cluster::Cluster& cl, mapred::Job& job) {
+        ctl = PairController::replay(cl, sched);
+        ctl->attach_job(job, PhasePlan{/*merge_shuffle_tail=*/false});
+      });
+  EXPECT_FALSE(r.failed);
+  EXPECT_EQ(ctl->switches(), 0);
+  int phase2_failures = 0;
+  const trace::Tracer& tr = session.tracer();
+  tr.for_each([&](const trace::Event& ev) {
+    phase2_failures += ev.name == tr.ids.switch_fail &&
+                       ev.arg_name[0] == tr.ids.index && ev.arg[0] == 2;
+  });
+  EXPECT_GE(phase2_failures, 1);
 }
 
 TEST(AdaptiveController, DelayedSwitchStillLands) {
   auto jc = workloads::make_job(workloads::stream_sort(), 128 * mapred::kMiB);
   const ClusterConfig cfg = tiny_with_faults("switchdelay:delay=2");
-  std::shared_ptr<AdaptiveController> ctl;
+  std::shared_ptr<PairController> ctl;
   iosched::SchedulerPair final_pair;
   const auto r =
       cluster::run_job(cfg, jc, [&](cluster::Cluster& cl, mapred::Job& job) {
-        ctl = AdaptiveController::attach(cl, job, to_deadline(cfg), PhasePlan{true});
+        ctl = PairController::replay(cl, to_deadline(cfg));
+        ctl->attach_job(job, PhasePlan{true});
         job.on_done = [&cl, &final_pair](Time) { final_pair = cl.pair(); };
       });
   EXPECT_FALSE(r.failed);
-  EXPECT_EQ(ctl->switches_performed(), 1);  // accepted, just late
+  EXPECT_EQ(ctl->switches(), 1);  // accepted, just late
   EXPECT_EQ(ctl->switch_failures(), 0);
   EXPECT_EQ(final_pair.vmm, SchedulerKind::kDeadline);
 }

@@ -13,7 +13,7 @@
 #include <cstdlib>
 
 #include "cluster/runner.hpp"
-#include "core/adaptive_controller.hpp"
+#include "core/pair_controller.hpp"
 #include "fault/fault_plan.hpp"
 #include "trace/trace.hpp"
 #include "workloads/benchmarks.hpp"
@@ -62,13 +62,14 @@ TEST(FaultRecovery, SortSurvivesBurstFailSlowAndFailedSwitch) {
       "transient:host=0,p=0.02,from=1,until=20;"
       "failslow:host=1,factor=3,from=5,until=40;"
       "switchfail:p=1");
-  std::shared_ptr<core::AdaptiveController> ctl;
+  std::shared_ptr<core::PairController> ctl;
   core::PairSchedule sched;
   sched.phases = {cfg.pair, iosched::SchedulerPair{SchedulerKind::kDeadline,
                                                    SchedulerKind::kDeadline}};
   const RunResult r =
       cluster::run_job(cfg, jc, [&](cluster::Cluster& cl, mapred::Job& job) {
-        ctl = core::AdaptiveController::attach(cl, job, sched, core::PhasePlan{true});
+        ctl = core::PairController::replay(cl, sched);
+        ctl->attach_job(job, core::PhasePlan{true});
       });
 
   ASSERT_FALSE(r.failed) << r.failure;
@@ -80,7 +81,7 @@ TEST(FaultRecovery, SortSurvivesBurstFailSlowAndFailedSwitch) {
   // The recovery machinery actually fired.
   EXPECT_GT(r.stats.map_attempts_failed + r.stats.hdfs_failovers, 0);
   // Every switch command was rejected: old pair stays, retries were bounded.
-  EXPECT_EQ(ctl->switches_performed(), 0);
+  EXPECT_EQ(ctl->switches(), 0);
   EXPECT_GE(ctl->switch_failures(), 1);
   // Faults cost time, never save it.
   EXPECT_GE(r.seconds, clean.seconds - 1e-9);
