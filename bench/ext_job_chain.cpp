@@ -6,7 +6,6 @@
 // the search cost and the gain.
 #include "bench_util.hpp"
 #include "core/meta_scheduler.hpp"
-#include "tenancy/chain_runner.hpp"
 
 using namespace iosim;
 using namespace iosim::bench;

@@ -3,6 +3,7 @@
 namespace iosim::cluster {
 
 Cluster::Cluster(const ClusterConfig& cfg) : cfg_(cfg) {
+  simr_.set_budget(cfg.budget);
   sim::Rng seeder(cfg.seed);
 
   ClusterConfig c = cfg_;

@@ -33,9 +33,10 @@ struct ClusterConfig {
   /// Faults to inject during the run; empty = fault-free (no injector is
   /// even constructed, so behavior is bit-identical to pre-fault builds).
   fault::FaultPlan faults;
-  /// Event-loop progress sentinel installed on the cluster's simulator
-  /// (run_job turns a tripped budget into a failed RunResult instead of
-  /// spinning forever on a livelocked simulation). Default: unlimited.
+  /// Event-loop progress sentinel the cluster installs on its simulator at
+  /// construction (the runners turn a tripped budget into a failed result
+  /// instead of spinning forever on a livelocked simulation). Default:
+  /// unlimited.
   sim::SimBudget budget;
   std::uint64_t seed = 1;
 };

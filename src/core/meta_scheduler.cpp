@@ -6,7 +6,6 @@
 #include <limits>
 
 #include "core/pair_controller.hpp"
-#include "tenancy/chain_runner.hpp"
 #include "trace/registry.hpp"
 #include "trace/trace.hpp"
 #include "virt/physical_host.hpp"
@@ -63,7 +62,7 @@ Experiment make_chain_experiment(cluster::ClusterConfig cfg,
   e.profile = [cfg, confs, seeds_per_eval](iosched::SchedulerPair p) {
     cluster::ClusterConfig c = cfg;
     c.pair = p;
-    const auto r = tenancy::run_job_chain_avg(c, confs, seeds_per_eval);
+    const auto r = cluster::run_job_chain_avg(c, confs, seeds_per_eval);
     ProfileEntry entry;
     entry.pair = p;
     entry.total_seconds = r.seconds;
@@ -84,16 +83,12 @@ Experiment make_chain_experiment(cluster::ClusterConfig cfg,
     // One controller per chain run, built with the run's cluster: job k's
     // maps / rest phases are schedule phases 2k and 2k+1.
     std::shared_ptr<PairController> ctl;
-    const auto chain = tenancy::run_job_chain_avg(
+    return cluster::run_job_chain_avg(
         c, confs, seeds_per_eval,
         [&schedule, &ctl](cluster::Cluster& cl, mapred::Job& job, int idx) {
           if (idx == 0) ctl = PairController::replay(cl, schedule);
           ctl->attach_job(job, PhasePlan{/*merge_shuffle_tail=*/true}, per_job * idx);
         });
-    cluster::RunResult out;
-    out.seconds = chain.seconds;
-    if (!chain.jobs.empty()) out.stats = chain.jobs.back();
-    return out;
   };
   return e;
 }

@@ -128,7 +128,7 @@ class MetaScheduler {
 
 /// Build the chain experiment: `confs` run back to back, two phases per job
 /// (maps / rest), adaptive switches at every job start and maps-done
-/// boundary after the first. See tenancy/chain_runner.hpp.
+/// boundary after the first. See cluster::run_job_chain.
 Experiment make_chain_experiment(cluster::ClusterConfig cfg,
                                  std::vector<mapred::JobConf> confs,
                                  int seeds_per_eval = 1);

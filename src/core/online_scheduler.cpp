@@ -237,7 +237,6 @@ void run_controlled_stream(
     const std::function<std::shared_ptr<PairController>(cluster::Cluster&)>& make,
     MetaStreamResult& out) {
   cluster::Cluster cl(cfg);
-  cl.simr().set_budget(cfg.budget);
   const std::shared_ptr<PairController> ctl = make(cl);
   tenancy::StreamRunner sr(cl, spec);
   ctl->attach_stream(sr.phases());

@@ -13,9 +13,11 @@
 
 #include "blk/block_layer.hpp"
 #include "blk/request_sink.hpp"
+#include "cluster/runner.hpp"
 #include "exp/runner.hpp"
 #include "exp/scenario.hpp"
 #include "sim/simulator.hpp"
+#include "workloads/benchmarks.hpp"
 
 namespace iosim::check {
 namespace {
@@ -52,6 +54,42 @@ TEST(Auditor, CleanFaultyRunReportsNothing) {
   AuditorSession cs(Auditor::Mode::kRecord);
   (void)exp::execute_point(spec->expand()[0], 9);
   EXPECT_TRUE(cs.auditor().ok()) << cs.auditor().report().to_string();
+}
+
+/// The pinned three-job chain of trace_digest_test.
+cluster::RunResult run_pinned_chain() {
+  cluster::ClusterConfig cfg;
+  cfg.n_hosts = 2;
+  cfg.vms_per_host = 2;
+  cfg.seed = 7;
+  return cluster::run_job_chain(
+      cfg, {workloads::make_job(workloads::wordcount(), 16 * mapred::kMiB),
+            workloads::make_job(workloads::stream_sort(), 16 * mapred::kMiB),
+            workloads::make_job(workloads::wordcount_no_combiner(), 16 * mapred::kMiB)});
+}
+
+TEST(Auditor, CleanChainRunReportsNothing) {
+  // Back-to-back jobs on one cluster, with the runner's own end-of-run
+  // checks after the last.
+  AuditorSession cs(Auditor::Mode::kRecord);
+  const cluster::RunResult r = run_pinned_chain();
+  ASSERT_FALSE(r.failed) << r.failure;
+  EXPECT_EQ(r.jobs.size(), 3u);
+  EXPECT_TRUE(cs.auditor().ok()) << cs.auditor().report().to_string();
+}
+
+TEST(Auditor, ChainRunnerRunsEndOfRunChecks) {
+  // The converse, so the clean chain above is not vacuous: a ring segment
+  // planted before the chain never completes, and only the end-of-run
+  // check after the chain's drain can see that.
+  AuditorSession cs(Auditor::Mode::kRecord);
+  Auditor& a = cs.auditor();
+  a.on_ring_submit(&a, 999, /*before=*/0, /*n_segs=*/1, /*slots=*/32, 0);
+  ASSERT_TRUE(a.ok());
+  const cluster::RunResult r = run_pinned_chain();
+  ASSERT_FALSE(r.failed) << r.failure;
+  EXPECT_EQ(a.count(Invariant::kRingBounds), 1u) << a.report().to_string();
+  EXPECT_EQ(a.violations_total(), 1u) << a.report().to_string();
 }
 
 TEST(Auditor, HealthySimulatorPassesAudit) {

@@ -1,15 +1,15 @@
-#include "tenancy/chain_runner.hpp"
+#include "cluster/runner.hpp"
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "core/meta_scheduler.hpp"
+#include "trace/trace.hpp"
 #include "workloads/benchmarks.hpp"
 
 namespace iosim::cluster {
 namespace {
-
-using tenancy::run_job_chain;
-using tenancy::run_job_chain_avg;
 
 ClusterConfig tiny() {
   ClusterConfig cfg;
@@ -38,9 +38,35 @@ TEST(ChainRunner, RunsJobsBackToBack) {
 }
 
 TEST(ChainRunner, SingleJobChainMatchesPlainRun) {
-  const auto chain = run_job_chain(tiny(), small_chain(1));
-  const auto plain = run_job(tiny(), small_chain(1)[0]);
-  EXPECT_NEAR(chain.seconds, plain.seconds, 1e-9);
+  // A single job is a chain of one: same makespan, byte-identical trace.
+  std::string chain_json, plain_json;
+  double chain_s = 0.0, plain_s = 0.0;
+  {
+    trace::TraceSession session;
+    chain_s = run_job_chain(tiny(), small_chain(1)).seconds;
+    chain_json = session.tracer().to_json();
+  }
+  {
+    trace::TraceSession session;
+    plain_s = run_job(tiny(), small_chain(1)[0]).seconds;
+    plain_json = session.tracer().to_json();
+  }
+  EXPECT_NEAR(chain_s, plain_s, 1e-9);
+  EXPECT_EQ(chain_json.size(), plain_json.size());
+  // Not EXPECT_EQ: a mismatch would print two multi-megabyte strings.
+  EXPECT_TRUE(chain_json == plain_json);
+}
+
+TEST(ChainRunner, EventBudgetStopsTheChain) {
+  // The cluster's budget holds for a chain exactly as for one job: the loop
+  // stops mid-chain and the chain reports the stop.
+  ClusterConfig cfg = tiny();
+  cfg.budget.max_events = 10000;
+  const auto r = run_job_chain(cfg, small_chain(2));
+  EXPECT_TRUE(r.failed);
+  EXPECT_EQ(r.stop, sim::StopReason::kEventBudget);
+  EXPECT_FALSE(r.failure.empty());
+  ASSERT_EQ(r.jobs.size(), 1u);  // job 1 was never admitted
 }
 
 TEST(ChainRunner, SetupHookSeesEveryJob) {

@@ -17,7 +17,6 @@
 
 #include "cluster/runner.hpp"
 #include "exp/artifact.hpp"
-#include "tenancy/chain_runner.hpp"
 #include "trace/trace.hpp"
 #include "workloads/benchmarks.hpp"
 
@@ -29,10 +28,10 @@ namespace {
 inline constexpr std::uint64_t kPreRefactorTraceDigest = 0x625ba9238ba4a87cULL;
 
 /// FNV-1a 64 of a seeded three-job chain's trace, captured on the
-/// dedicated chain runner immediately before it was rehosted onto
-/// tenancy::StreamRunner's sequential mode. Same contract as above: the
-/// stream engine may restructure the sequencing code, but a chained run's
-/// event order and timing must not move by a byte.
+/// dedicated chain runner before its sequencing moved first into the stream
+/// engine and then into cluster::run_job_chain, the body run_job shares.
+/// Same contract as above: the sequencing code may be restructured, but a
+/// chained run's event order and timing must not move by a byte.
 inline constexpr std::uint64_t kPreStreamChainDigest = 0x12b0952ebf45d35cULL;
 
 std::string traced_run_json() {
@@ -70,7 +69,7 @@ TEST(TraceDigest, ChainedRunMatchesPreStreamDigest) {
       workloads::make_job(workloads::stream_sort(), 16 * mapred::kMiB),
       workloads::make_job(workloads::wordcount_no_combiner(), 16 * mapred::kMiB),
   };
-  const auto r = tenancy::run_job_chain(cfg, confs);
+  const auto r = cluster::run_job_chain(cfg, confs);
   EXPECT_EQ(r.jobs.size(), confs.size());
   const std::string json = session.tracer().to_json();
   const std::uint64_t digest = exp::fnv1a64(json);

@@ -13,6 +13,7 @@
 #include <cstdlib>
 
 #include "cluster/runner.hpp"
+#include "core/meta_scheduler.hpp"
 #include "core/pair_controller.hpp"
 #include "fault/fault_plan.hpp"
 #include "trace/trace.hpp"
@@ -111,6 +112,26 @@ TEST(FaultRecovery, AllReplicasDeadAbortsWithDiagnostic) {
   EXPECT_FALSE(r.failure.empty());
   EXPECT_TRUE(r.stats.failed);
   EXPECT_GT(r.seconds, 0.0);  // aborted at a definite sim time
+}
+
+TEST(FaultRecovery, AllReplicasDeadAbortsAChain) {
+  // The same plan under a two-job chain: job 0 aborts, job 1 never runs,
+  // and the chain reports the abort instead of a short makespan that
+  // Algorithm 1 would rank as the fastest schedule.
+  const char* plan = "vmdown:vm=0,from=0.5;vmdown:vm=2,from=0.5;vmdown:vm=3,from=0.5";
+  const std::vector<mapred::JobConf> confs = {sort_job(), sort_job()};
+  const RunResult r = cluster::run_job_chain(faulted(plan), confs);
+  ASSERT_TRUE(r.failed);
+  EXPECT_FALSE(r.failure.empty());
+  ASSERT_EQ(r.jobs.size(), 1u);  // stops at the aborted job
+  EXPECT_TRUE(r.jobs.back().failed);
+  EXPECT_TRUE(r.stats.failed);
+
+  const core::Experiment e = core::make_chain_experiment(faulted(plan), confs);
+  const RunResult x =
+      e.execute(core::PairSchedule::single(iosched::kDefaultPair, e.phases));
+  EXPECT_TRUE(x.failed);
+  EXPECT_FALSE(x.failure.empty());
 }
 
 TEST(FaultRecovery, ExhaustedAttemptBudgetAborts) {
