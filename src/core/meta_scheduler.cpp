@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
 #include <cstdio>
 #include <limits>
 
@@ -13,6 +14,8 @@
 namespace iosim::core {
 
 namespace {
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
 
 /// The paper's experiment: one job, profiled and executed on a fresh
 /// cluster per run.
@@ -31,6 +34,7 @@ Experiment make_single_job_experiment(cluster::ClusterConfig cluster_cfg,
     ProfileEntry entry;
     entry.pair = p;
     entry.total_seconds = r.seconds;
+    entry.failed = r.failed;
     if (plan.merge_shuffle_tail) {
       entry.phase_seconds = {r.ph1_seconds, r.ph23_seconds};
     } else {
@@ -66,6 +70,7 @@ Experiment make_chain_experiment(cluster::ClusterConfig cfg,
     ProfileEntry entry;
     entry.pair = p;
     entry.total_seconds = r.seconds;
+    entry.failed = r.failed;
     sim::Time prev_end = sim::Time::zero();
     for (const auto& js : r.jobs) {
       // Phase 2k: previous job end -> this job's maps done (includes the
@@ -105,14 +110,28 @@ cluster::RunResult MetaScheduler::execute(const PairSchedule& schedule) const {
   return exp_.execute(schedule);
 }
 
+double MetaScheduler::advance_clock(double seconds) const {
+  if (!std::isfinite(seconds)) return 0.0;
+  meta_clock_ = meta_clock_ + sim::Time::from_sec_f(seconds);
+  return seconds;
+}
+
 ProfileEntry MetaScheduler::profile_one(iosched::SchedulerPair p) const {
   ProfileEntry e = exp_.profile(p);
-  meta_clock_ = meta_clock_ + sim::Time::from_sec_f(e.total_seconds);
+  // A failed run's partial phase times would rank it fastest, and a failed
+  // chain reports fewer phases than the plan: every phase of a failed entry
+  // scores +inf, so it ranks last everywhere and the vector is always full.
+  const auto phases = static_cast<std::size_t>(exp_.phases);
+  if (e.failed || e.phase_seconds.size() != phases) {
+    e.failed = true;
+    e.phase_seconds.assign(phases, kInf);
+  }
+  const double spent = advance_clock(e.total_seconds);
   e.measured_at = meta_clock_;
   if (auto* tr = trace::tracer()) {
     tr->instant(tr->track("meta"), tr->ids.profile, tr->ids.cat_meta,
                 meta_clock_, tr->ids.pair, virt::PhysicalHost::pair_code(p),
-                tr->ids.value, static_cast<std::int64_t>(e.total_seconds * 1000.0));
+                tr->ids.value, static_cast<std::int64_t>(spent * 1000.0));
   }
   if (auto* reg = trace::registry()) reg->counter("meta.profile_runs").inc();
   if (opts_.verbose) {
@@ -153,11 +172,13 @@ double MetaScheduler::evaluate(
       if (k == key) return v;
     }
   }
-  const double secs = exp_.execute(schedule).seconds;
-  meta_clock_ = meta_clock_ + sim::Time::from_sec_f(secs);
+  const cluster::RunResult r = exp_.execute(schedule);
+  const double spent = advance_clock(r.seconds);
+  // A failed probe ranks after every completed one.
+  const double secs = r.failed ? kInf : r.seconds;
   if (auto* tr = trace::tracer()) {
     tr->instant(tr->track("meta"), tr->ids.probe, tr->ids.cat_meta, meta_clock_,
-                tr->ids.value, static_cast<std::int64_t>(secs * 1000.0));
+                tr->ids.value, static_cast<std::int64_t>(spent * 1000.0));
   }
   if (auto* reg = trace::registry()) reg->counter("meta.heuristic_evals").inc();
   if (cache != nullptr) cache->emplace_back(key, secs);
@@ -174,17 +195,18 @@ MetaResult MetaScheduler::optimize() {
   for (const auto& e : res.profile) {
     if (e.pair == iosched::kDefaultPair) res.default_seconds = e.total_seconds;
   }
-  res.best_single_seconds = std::numeric_limits<double>::infinity();
+  res.best_single_seconds = kInf;
   for (const auto& e : res.profile) {
-    if (e.total_seconds < res.best_single_seconds) {
+    if (!e.failed && e.total_seconds < res.best_single_seconds) {
       res.best_single_seconds = e.total_seconds;
       res.best_single = e.pair;
     }
   }
 
   // Per-phase rankings (ascending phase time = descending performance
-  // score) and the best single pair for every suffix of phases. Both are
-  // recomputable: a staleness-triggered re-profile invalidates the order.
+  // score) and the best single pair for every suffix of phases; a failed
+  // entry's +inf phases put it last in both. Both are recomputable: a
+  // staleness-triggered re-profile invalidates the order.
   std::vector<std::vector<const ProfileEntry*>> ranking(static_cast<std::size_t>(P));
   auto sort_rankings = [&] {
     for (int i = 0; i < P; ++i) {
@@ -304,9 +326,10 @@ MetaResult MetaScheduler::optimize() {
   res.adaptive_seconds = res.adaptive_run.seconds;
   res.heuristic_evaluations = evals;
 
-  if (opts_.fallback_to_best_single &&
-      res.adaptive_seconds > res.best_single_seconds) {
-    // Switch costs ate the per-phase gains: ship the best single pair.
+  if (opts_.fallback_to_best_single && std::isfinite(res.best_single_seconds) &&
+      (res.adaptive_run.failed || res.adaptive_seconds > res.best_single_seconds)) {
+    // Switch costs ate the per-phase gains (or the solution failed): ship
+    // the best single pair.
     res.solution = PairSchedule::single(res.best_single, P);
     res.adaptive_run = execute(res.solution);
     res.adaptive_seconds = res.adaptive_run.seconds;

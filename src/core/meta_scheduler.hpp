@@ -28,6 +28,9 @@ struct ProfileEntry {
   SchedulerPair pair;
   double total_seconds = 0.0;
   std::vector<double> phase_seconds;  // size = plan.count()
+  /// The run failed (a job aborted or a budget stopped it): its times are
+  /// partial, so the search ranks it after every successful entry.
+  bool failed = false;
   /// Meta-clock timestamp of the measurement (see meta_clock_). Entries age
   /// as the search itself burns simulated time; the staleness bound below
   /// decides when a score is no longer trusted.
@@ -60,7 +63,7 @@ struct MetaResult {
   cluster::RunResult adaptive_run;
 
   double default_seconds = 0.0;       // (cfq, cfq) single pair
-  double best_single_seconds = 0.0;
+  double best_single_seconds = 0.0;   // infinity when every profile run failed
   SchedulerPair best_single;
 
   std::vector<ProfileEntry> profile;  // all 16 single-pair runs
@@ -116,6 +119,9 @@ class MetaScheduler {
   /// Re-measure every entry in place (pointers into the vector stay valid).
   void refresh_profile(std::vector<ProfileEntry>& entries) const;
   bool is_fresh(const ProfileEntry& e) const;
+  /// Advance the meta clock by a run's simulated seconds (a non-finite
+  /// value leaves it alone) and return the amount added.
+  double advance_clock(double seconds) const;
 
   Experiment exp_;
   MetaSchedulerOptions opts_;

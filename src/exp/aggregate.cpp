@@ -1,5 +1,6 @@
 #include "exp/aggregate.hpp"
 
+#include <cstdio>
 #include <map>
 
 #include "exp/json.hpp"
@@ -105,26 +106,41 @@ metrics::Table to_table(const ScenarioSpec& spec, const SweepAggregate& agg,
   const std::string primary =
       !metric.empty() ? metric
                       : (spec.mode == RunMode::kAdapt ? "adaptive_seconds" : "seconds");
+  const auto find_primary = [&primary](const PointAggregate& pa) -> const MetricSummary* {
+    for (const auto& m : pa.metrics) {
+      if (m.name == primary) return &m;
+    }
+    return nullptr;
+  };
+  // The (c,c) point of every other-axes combination, keyed by its label
+  // (labels are unique within an expansion).
+  std::map<std::string, double> cc_mean;
+  for (const auto& pa : agg.points) {
+    const MetricSummary* ms = find_primary(pa);
+    if (ms && pa.point.pair == iosched::kDefaultPair) cc_mean[pa.point.label()] = ms->s.mean;
+  }
+
   metrics::Table tab(spec.name + " — " + primary + " (" +
                      std::to_string(spec.repeats) + " repeats)");
-  tab.headers({"scenario", "mean", "±ci95", "min", "p50", "p95", "max", "runs"});
+  tab.headers({"scenario", "mean", "±ci95", "min", "p50", "p95", "max", "vs cc", "runs"});
   for (const auto& pa : agg.points) {
-    const MetricSummary* ms = nullptr;
-    for (const auto& m : pa.metrics) {
-      if (m.name == primary) {
-        ms = &m;
-        break;
-      }
-    }
+    const MetricSummary* ms = find_primary(pa);
     if (!ms) {
-      tab.row({pa.point.label(), "-", "-", "-", "-", "-", "-",
+      tab.row({pa.point.label(), "-", "-", "-", "-", "-", "-", "-",
                std::to_string(pa.runs) + (pa.failures ? " (failed)" : "")});
       continue;
+    }
+    ScenarioPoint cc = pa.point;
+    cc.pair = iosched::kDefaultPair;
+    const auto it = cc_mean.find(cc.label());
+    char vs_cc[32] = "-";
+    if (it != cc_mean.end() && it->second != 0.0) {
+      std::snprintf(vs_cc, sizeof vs_cc, "%+.1f%%", 100.0 * (ms->s.mean / it->second - 1.0));
     }
     tab.row({pa.point.label(), metrics::Table::num(ms->s.mean, 1),
              metrics::Table::num(ms->s.ci95, 2), metrics::Table::num(ms->s.min, 1),
              metrics::Table::num(ms->s.p50, 1), metrics::Table::num(ms->s.p95, 1),
-             metrics::Table::num(ms->s.max, 1), std::to_string(pa.runs)});
+             metrics::Table::num(ms->s.max, 1), vs_cc, std::to_string(pa.runs)});
   }
   return tab;
 }

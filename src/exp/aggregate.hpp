@@ -54,7 +54,9 @@ std::string to_json(const ScenarioSpec& spec, const SweepAggregate& agg,
 
 /// Human table: one row per point, the named metric's summary columns.
 /// Empty `metric` selects the mode's primary metric (seconds /
-/// adaptive_seconds).
+/// adaptive_seconds). The `vs cc` column is the point's mean relative to
+/// the point with the same other axes and pair (c,c) — negative is faster
+/// than the default pair — or `-` when the sweep has no such point.
 metrics::Table to_table(const ScenarioSpec& spec, const SweepAggregate& agg,
                         const std::string& metric = "");
 

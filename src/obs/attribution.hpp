@@ -29,7 +29,7 @@
 #include <vector>
 
 #include "obs/attr.hpp"
-#include "obs/sketch.hpp"
+#include "sim/sketch.hpp"
 #include "sim/time.hpp"
 #include "trace/hint.hpp"
 
@@ -39,6 +39,10 @@ class Registry;
 }  // namespace iosim::trace
 
 namespace iosim::obs {
+
+// The lane sketches' types, under the names obs callers already use.
+using sim::QuantileSketch;
+using sim::WindowedSketch;
 
 struct StallConfig {
   /// A request stalls when total > max(floor, factor * p99(key total)).

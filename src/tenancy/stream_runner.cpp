@@ -5,8 +5,8 @@
 
 #include "check/check.hpp"
 #include "obs/attribution.hpp"
-#include "obs/sketch.hpp"
 #include "sim/random.hpp"
+#include "sim/sketch.hpp"
 #include "trace/trace.hpp"
 #include "workloads/benchmarks.hpp"
 
@@ -331,7 +331,7 @@ StreamResult StreamRunner::finish() {
   // integer-ns QuantileSketch as the attribution layer: deterministic and
   // mergeable, so sweep workers can fold partial streams exactly.
   out.classes.resize(opts_.classes.size());
-  std::vector<obs::QuantileSketch> sketches(opts_.classes.size());
+  std::vector<sim::QuantileSketch> sketches(opts_.classes.size());
   for (std::size_t c = 0; c < opts_.classes.size(); ++c) {
     out.classes[c].name = opts_.classes[c].name;
   }
@@ -351,7 +351,7 @@ StreamResult StreamRunner::finish() {
         static_cast<std::int64_t>(r.sojourn_s * 1e9));
   }
   for (std::size_t c = 0; c < out.classes.size(); ++c) {
-    const obs::QuantileSketch& sk = sketches[c];
+    const sim::QuantileSketch& sk = sketches[c];
     if (sk.count() == 0) continue;
     ClassOutcome& co = out.classes[c];
     co.p50_s = static_cast<double>(sk.quantile(0.50)) / 1e9;

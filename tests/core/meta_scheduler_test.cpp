@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "sim/random.hpp"
 #include "workloads/benchmarks.hpp"
 
@@ -159,6 +161,63 @@ TEST(MetaScheduler, SingleScheduleExecutesWithoutSwitch) {
   derived.seed = sim::derive_run_seed(derived.seed, 0);
   const auto plain = cluster::run_job(derived, jc);
   EXPECT_NEAR(r.seconds, plain.seconds, 1e-9);
+}
+
+
+TEST(MetaScheduler, FailedProfileAndProbesRankLast) {
+  // A fake three-phase experiment: pair p scores 10 + index + k seconds in
+  // phase k, so without failures the lowest-index pair wins every phase.
+  // That pair, (noop, noop), instead fails fast: its profile reports a
+  // short partial time and a truncated phase vector, and every schedule
+  // using it fails after 0.5 s. It must win nothing, and the rankings must
+  // not read past its one phase entry.
+  const SchedulerPair bad = SchedulerPair::from_index(0);
+  constexpr int kPhases = 3;
+  const auto phase_secs = [](SchedulerPair p, int k) { return 10.0 + p.index() + k; };
+  Experiment e;
+  e.phases = kPhases;
+  e.profile = [&](SchedulerPair p) {
+    ProfileEntry en;
+    en.pair = p;
+    if (p == bad) {
+      en.failed = true;
+      en.total_seconds = 1.0;
+      en.phase_seconds = {0.5};
+      return en;
+    }
+    for (int k = 0; k < kPhases; ++k) {
+      en.phase_seconds.push_back(phase_secs(p, k));
+      en.total_seconds += en.phase_seconds.back();
+    }
+    return en;
+  };
+  e.execute = [&](const PairSchedule& s) {
+    cluster::RunResult r;
+    for (int k = 0; k < kPhases; ++k) {
+      if (s.effective(k) == bad) {
+        r.failed = true;
+        r.failure = "fake abort";
+        r.seconds = 0.5;
+        return r;
+      }
+      r.seconds += phase_secs(s.effective(k), k);
+    }
+    return r;
+  };
+
+  MetaScheduler ms(e, MetaSchedulerOptions{});
+  const MetaResult res = ms.optimize();
+  const SchedulerPair best = SchedulerPair::from_index(1);
+  EXPECT_EQ(res.best_single, best);
+  EXPECT_DOUBLE_EQ(res.best_single_seconds, 36.0);  // 11 + 12 + 13
+  for (int k = 0; k < kPhases; ++k) EXPECT_EQ(res.solution.effective(k), best);
+  EXPECT_FALSE(res.adaptive_run.failed);
+  EXPECT_DOUBLE_EQ(res.adaptive_seconds, 36.0);
+  for (const auto& en : res.profile) {
+    ASSERT_EQ(en.phase_seconds.size(), static_cast<std::size_t>(kPhases));
+    EXPECT_EQ(en.failed, en.pair == bad);
+    EXPECT_TRUE(std::isfinite(en.measured_at.sec()));
+  }
 }
 
 }  // namespace

@@ -1,15 +1,13 @@
 // Unit tests for the log-linear quantile sketch and its windowed ring.
-#include "obs/sketch.hpp"
+#include "sim/sketch.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <vector>
 
-namespace iosim::obs {
+namespace iosim::sim {
 namespace {
-
-using sim::Time;
 
 TEST(QuantileSketch, SmallValuesGetExactBuckets) {
   for (std::int64_t v = 0; v < QuantileSketch::kMinors; ++v) {
@@ -164,4 +162,4 @@ TEST(WindowedSketch, SnapshotMergeMatchesCumulativeWithinRing) {
 }
 
 }  // namespace
-}  // namespace iosim::obs
+}  // namespace iosim::sim
