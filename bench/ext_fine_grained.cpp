@@ -12,8 +12,8 @@
 //   3. fine-grained (per-host regime detection from live Dom0 I/O counters,
 //      switches gated by the switch-cost predictor).
 #include "bench_util.hpp"
-#include "core/fine_grained.hpp"
 #include "core/meta_scheduler.hpp"
+#include "core/pair_controller.hpp"
 
 using namespace iosim;
 using namespace iosim::bench;
@@ -49,13 +49,13 @@ void run_scenario(metrics::Table& tab, const Scenario& sc) {
     for (int s = 0; s < kSeeds; ++s) {
       ClusterConfig c = fcfg;
       c.seed = sim::derive_run_seed(fcfg.seed, static_cast<std::uint64_t>(s));
-      std::shared_ptr<core::FineGrainedController> ctl;
+      std::shared_ptr<core::PairController> ctl;
       const auto r = cluster::run_job(c, jc, [&ctl](cluster::Cluster& cl, mapred::Job& job) {
-        ctl = core::FineGrainedController::attach(cl, job, core::FineGrainedPolicy{},
-                                                  core::SwitchPredictor{2.0});
+        ctl = core::PairController::regimes(cl, core::RegimeConfig{});
+        ctl->attach_sampler(job);
       });
       sum += r.seconds;
-      switches = ctl->total_switches();
+      switches = ctl->switches();
     }
     fine = sum / kSeeds;
   }

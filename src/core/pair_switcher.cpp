@@ -6,12 +6,12 @@
 namespace iosim::core {
 
 void PairSwitcher::attempt(int tag, iosched::SchedulerPair target, int failures) {
-  if (cl_.try_switch_pair(target)) {
+  if (cl_.try_switch_pair(target, host_)) {
     ++switches_;
     if (on_switched) on_switched(tag, target);
     return;
   }
-  // Command rejected: the old pair stays installed on every host. Retry with
+  // Command rejected: the old pair stays installed in scope. Retry with
   // capped exponential backoff unless a newer request supersedes the target
   // before the timer fires.
   ++failures_;

@@ -2,10 +2,10 @@
 // want to build a general prediction model for the scheduler switch").
 //
 // A 16x16 EWMA table of observed switch costs, seeded either analytically
-// (drain estimate + quiesce) or from a measured SwitchCostMatrix. The
-// fine-grained controller consults it to gate switches: only switch when
-// the predicted saving over the remaining horizon exceeds the predicted
-// cost.
+// (drain estimate + quiesce) or from a measured SwitchCostMatrix.
+// PairController's host-scope regime switching consults it to gate
+// switches: only switch when the predicted saving over the remaining
+// horizon exceeds the predicted cost.
 #pragma once
 
 #include <array>

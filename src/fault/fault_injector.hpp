@@ -72,7 +72,8 @@ class FaultInjector {
     sim::Time delay = sim::Time::zero();  // extra latency before it lands
   };
 
-  /// Adjudicate one cluster-wide switch command at the current sim time.
+  /// Adjudicate one switch command (to every host or to one) at the current
+  /// sim time.
   SwitchVerdict switch_command();
 
   struct Counters {

@@ -46,10 +46,21 @@ TEST(Cluster, BootsWithConfiguredPair) {
   EXPECT_EQ(cl.host(0).dom0_layer().counters().scheduler_switches, 0u);
 }
 
+TEST(Cluster, HostScopedSwitchReachesOnlyThatHost) {
+  Cluster cl(tiny());
+  const SchedulerPair p{SchedulerKind::kNoop, SchedulerKind::kAnticipatory};
+  EXPECT_TRUE(cl.try_switch_pair(p, 1));
+  cl.simr().run();  // drain freeze timers
+  EXPECT_EQ(cl.host(1).pair(), p);
+  EXPECT_EQ(cl.host(0).pair(), iosched::kDefaultPair);
+  EXPECT_EQ(cl.host(0).dom0_layer().counters().scheduler_switches, 0u);
+  EXPECT_EQ(cl.pair(), iosched::kDefaultPair);  // host 0's pair
+}
+
 TEST(Cluster, SwitchPairReachesEveryHostAndGuest) {
   Cluster cl(tiny());
   const SchedulerPair p{SchedulerKind::kNoop, SchedulerKind::kAnticipatory};
-  cl.switch_pair(p);
+  EXPECT_TRUE(cl.try_switch_pair(p));
   cl.simr().run();  // drain freeze timers
   for (std::size_t h = 0; h < cl.n_hosts(); ++h) {
     EXPECT_EQ(cl.host(h).dom0_layer().scheduler_kind(), p.vmm);

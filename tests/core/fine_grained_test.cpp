@@ -1,8 +1,15 @@
-#include "core/fine_grained.hpp"
+#include "core/pair_controller.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <map>
+#include <string>
+#include <vector>
+
 #include "core/switch_predictor.hpp"
+#include "fault/fault_plan.hpp"
+#include "trace/trace.hpp"
 #include "workloads/benchmarks.hpp"
 
 namespace iosim::core {
@@ -16,6 +23,39 @@ ClusterConfig tiny() {
   ClusterConfig cfg;
   cfg.n_hosts = 2;
   cfg.vms_per_host = 2;
+  return cfg;
+}
+
+ClusterConfig tiny_with_faults(const std::string& plan_text) {
+  ClusterConfig cfg = tiny();
+  std::string err;
+  auto plan = fault::FaultPlan::parse(plan_text, &err);
+  EXPECT_TRUE(plan.has_value()) << err;
+  cfg.faults = plan.value_or(fault::FaultPlan{});
+  return cfg;
+}
+
+/// The cheap-switching setup (a 256 MB sort that switches on both hosts),
+/// so a fault has switches to act on.
+RegimeConfig eager() {
+  RegimeConfig cfg;
+  cfg.sample_period = sim::Time::from_sec(5);
+  cfg.min_switch_gap = sim::Time::from_sec(5);
+  cfg.predictor = SwitchPredictor{0.0};
+  return cfg;
+}
+
+/// Regime switching on `cl` for `job`, sampling from the next period on.
+std::shared_ptr<PairController> attach(cluster::Cluster& cl, mapred::Job& job,
+                                       RegimeConfig cfg) {
+  auto ctl = PairController::regimes(cl, std::move(cfg));
+  ctl->attach_sampler(job);
+  return ctl;
+}
+
+RegimeConfig with_predictor(double base_cost_seconds) {
+  RegimeConfig cfg;
+  cfg.predictor = SwitchPredictor{base_cost_seconds};
   return cfg;
 }
 
@@ -52,8 +92,7 @@ TEST(FineGrained, JobCompletesUnderController) {
   cluster::Cluster cl(tiny());
   auto jc = workloads::make_job(workloads::stream_sort(), 128 * mapred::kMiB);
   mapred::Job job(cl.env(), jc, 3);
-  auto ctl = FineGrainedController::attach(cl, job, FineGrainedPolicy{},
-                                           SwitchPredictor{1.0});
+  auto ctl = attach(cl, job, with_predictor(1.0));
   job.run();
   cl.simr().run();
   EXPECT_TRUE(job.done());
@@ -64,9 +103,9 @@ TEST(FineGrained, SamplingStopsAfterJob) {
   cluster::Cluster cl(tiny());
   auto jc = workloads::make_job(workloads::stream_sort(), 64 * mapred::kMiB);
   mapred::Job job(cl.env(), jc, 3);
-  FineGrainedPolicy pol;
+  RegimeConfig pol = with_predictor(1.0);
   pol.sample_period = sim::Time::from_sec(1);
-  auto ctl = FineGrainedController::attach(cl, job, pol, SwitchPredictor{1.0});
+  auto ctl = attach(cl, job, pol);
   job.run();
   cl.simr().run();  // must terminate: the controller stops rescheduling
   EXPECT_TRUE(job.done());
@@ -78,11 +117,10 @@ TEST(FineGrained, HighPredictedCostBlocksSwitching) {
   cluster::Cluster cl(tiny());
   auto jc = workloads::make_job(workloads::stream_sort(), 128 * mapred::kMiB);
   mapred::Job job(cl.env(), jc, 3);
-  auto ctl = FineGrainedController::attach(cl, job, FineGrainedPolicy{},
-                                           SwitchPredictor{1e9});  // prohibitive
+  auto ctl = attach(cl, job, with_predictor(1e9));  // prohibitive
   job.run();
   cl.simr().run();
-  EXPECT_EQ(ctl->total_switches(), 0);
+  EXPECT_EQ(ctl->switches(), 0);
   EXPECT_EQ(cl.host(0).dom0_layer().counters().scheduler_switches, 0u);
 }
 
@@ -90,29 +128,94 @@ TEST(FineGrained, CheapSwitchingAdaptsToRegimes) {
   cluster::Cluster cl(tiny());
   auto jc = workloads::make_job(workloads::stream_sort(), 256 * mapred::kMiB);
   mapred::Job job(cl.env(), jc, 3);
-  FineGrainedPolicy pol;
-  pol.sample_period = sim::Time::from_sec(5);
-  pol.min_switch_gap = sim::Time::from_sec(5);
-  auto ctl = FineGrainedController::attach(cl, job, pol, SwitchPredictor{0.0});
+  auto ctl = attach(cl, job, eager());
   job.run();
   cl.simr().run();
   EXPECT_TRUE(job.done());
   // Sort flips from read-dominated (maps) to write-heavy (reduce): at least
   // one per-host switch should have happened somewhere.
-  EXPECT_GT(ctl->total_switches(), 0);
+  EXPECT_GT(ctl->switches(), 0);
 }
 
 TEST(FineGrained, MinGapRateLimitsSwitching) {
   cluster::Cluster cl(tiny());
   auto jc = workloads::make_job(workloads::stream_sort(), 256 * mapred::kMiB);
   mapred::Job job(cl.env(), jc, 3);
-  FineGrainedPolicy pol;
+  RegimeConfig pol = with_predictor(0.0);
   pol.sample_period = sim::Time::from_sec(1);
   pol.min_switch_gap = sim::Time::from_sec(100000);  // once per host, ever
-  auto ctl = FineGrainedController::attach(cl, job, pol, SwitchPredictor{0.0});
+  auto ctl = attach(cl, job, pol);
   job.run();
   cl.simr().run();
-  EXPECT_LE(ctl->total_switches(), static_cast<int>(cl.n_hosts()));
+  EXPECT_LE(ctl->switches(), static_cast<int>(cl.n_hosts()));
+}
+
+TEST(FineGrained, FailedSwitchCommandsKeepEveryHostOnItsBootPair) {
+  cluster::Cluster cl(tiny_with_faults("switchfail:p=1"));
+  auto jc = workloads::make_job(workloads::stream_sort(), 256 * mapred::kMiB);
+  mapred::Job job(cl.env(), jc, 3);
+  auto ctl = attach(cl, job, eager());
+  job.run();
+  cl.simr().run();
+  EXPECT_TRUE(job.done());
+  for (std::size_t h = 0; h < cl.n_hosts(); ++h) {
+    EXPECT_EQ(cl.host(h).dom0_layer().counters().scheduler_switches, 0u) << h;
+    EXPECT_EQ(cl.host(h).pair(), iosched::kDefaultPair) << h;
+  }
+  EXPECT_EQ(ctl->switches(), 0);
+  EXPECT_GT(ctl->switch_failures(), 0);
+}
+
+TEST(FineGrained, HostSwitchersRetryIndependently) {
+  // Every command fails during the first second. Host 0's retry chain
+  // (+0.5 s fails, +1.5 s lands) must survive host 1's switcher being
+  // superseded in between.
+  cluster::Cluster cl(tiny_with_faults("switchfail:p=1,until=1"));
+  auto host0 = PairSwitcher::create(cl, 0);
+  auto host1 = PairSwitcher::create(cl, 1);
+  const SchedulerPair dd{SchedulerKind::kDeadline, SchedulerKind::kDeadline};
+  host0->request(0, dd);
+  host1->supersede();
+  cl.simr().run();
+  EXPECT_EQ(host0->failures(), 2);
+  EXPECT_EQ(host0->switches(), 1);
+  EXPECT_EQ(cl.host(0).pair(), dd);
+  EXPECT_EQ(cl.host(1).pair(), iosched::kDefaultPair);
+  EXPECT_EQ(cl.host(1).dom0_layer().counters().scheduler_switches, 0u);
+}
+
+TEST(FineGrained, DelayedSwitchLandsLateByTheDelay) {
+  trace::TraceSession session;
+  cluster::Cluster cl(tiny_with_faults("switchdelay:delay=2"));
+  auto jc = workloads::make_job(workloads::stream_sort(), 256 * mapred::kMiB);
+  mapred::Job job(cl.env(), jc, 3);
+  auto ctl = attach(cl, job, eager());
+  job.run();
+  cl.simr().run();
+  EXPECT_TRUE(job.done());
+
+  // Per host: when the controller issued each switch (its core-track
+  // instant) and when the host's elevators actually changed.
+  trace::Tracer& tr = session.tracer();
+  std::map<std::int64_t, std::vector<std::int64_t>> issued;
+  std::map<std::int64_t, std::vector<std::int64_t>> landed;
+  std::map<std::uint32_t, std::int64_t> host_of_track;
+  for (std::int64_t h = 0; h < static_cast<std::int64_t>(cl.n_hosts()); ++h) {
+    host_of_track[tr.track("host" + std::to_string(h))] = h;
+  }
+  tr.for_each([&](const trace::Event& ev) {
+    if (ev.name == tr.ids.fg_switch) issued[ev.arg[0]].push_back(ev.ts_ns);
+    if (ev.name == tr.ids.pair_switch && ev.cat == tr.ids.cat_virt) {
+      landed[host_of_track.at(ev.track)].push_back(ev.ts_ns);
+    }
+  });
+  ASSERT_FALSE(issued.empty());
+  for (const auto& [host, times] : issued) {
+    ASSERT_EQ(landed[host].size(), times.size()) << host;
+    for (std::size_t i = 0; i < times.size(); ++i) {
+      EXPECT_EQ(landed[host][i], times[i] + sim::Time::from_sec(2).ns()) << host;
+    }
+  }
 }
 
 }  // namespace
