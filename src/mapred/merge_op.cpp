@@ -1,5 +1,6 @@
 #include "mapred/merge_op.hpp"
 
+#include <algorithm>
 #include <cassert>
 
 #include "disk/disk_model.hpp"
@@ -78,26 +79,34 @@ void MergeOp::unit_read_done(std::shared_ptr<MergeOp> self, std::int64_t unit_by
   const auto cpu = sim::Time::from_ns(
       static_cast<std::int64_t>(p_.cpu_ns_per_byte * static_cast<double>(unit_bytes)));
   vm_.cpu->run(cpu, [this, self, unit_bytes] {
-    // Emit output for this unit (carry fractional bytes across units).
+    // Emit output for this unit. write_ratio exceeds 1 when part of the
+    // input never touched the disk (a reduce whose shuffle stayed partly in
+    // memory); no bio may exceed an io unit, so output past one unit is
+    // carried and leaves in whole units, the remainder with the last unit.
     write_pending_bytes_ +=
         static_cast<std::int64_t>(p_.write_ratio * static_cast<double>(unit_bytes));
-    const std::int64_t out_unit = write_pending_bytes_;
-    write_pending_bytes_ = 0;
+    cpu_done_ += unit_bytes;
+    const bool last = cpu_done_ == total_in_;
+    --cpu_write_inflight_;
     if (p_.cancelled && p_.cancelled()) failed_ = true;
-    if (out_unit <= 0 || failed_) {
-      --cpu_write_inflight_;
+    if (write_pending_bytes_ <= 0 || failed_) {
       maybe_finish(vm_.simr->now());
       return;
     }
-    const auto sectors = (out_unit + disk::kSectorBytes - 1) / disk::kSectorBytes;
-    const disk::Lba at = out_next_;
-    out_next_ += sectors;
-    vm_.vm->submit_io(io_ctx_, at, sectors, iosched::Dir::kWrite, /*sync=*/false,
-                      [this, self](sim::Time t2, iosched::IoStatus st) {
-                        --cpu_write_inflight_;
-                        if (st != iosched::IoStatus::kOk) failed_ = true;
-                        maybe_finish(t2);
-                      });
+    do {
+      const std::int64_t bytes = std::min(p_.io_unit_bytes, write_pending_bytes_);
+      write_pending_bytes_ -= bytes;
+      const auto sectors = (bytes + disk::kSectorBytes - 1) / disk::kSectorBytes;
+      const disk::Lba at = out_next_;
+      out_next_ += sectors;
+      ++cpu_write_inflight_;
+      vm_.vm->submit_io(io_ctx_, at, sectors, iosched::Dir::kWrite, /*sync=*/false,
+                        [this, self](sim::Time t2, iosched::IoStatus st) {
+                          --cpu_write_inflight_;
+                          if (st != iosched::IoStatus::kOk) failed_ = true;
+                          maybe_finish(t2);
+                        });
+    } while (write_pending_bytes_ >= p_.io_unit_bytes || (last && write_pending_bytes_ > 0));
   });
 }
 

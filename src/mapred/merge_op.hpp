@@ -3,9 +3,9 @@
 // Reads `inputs` round-robin in io-unit chunks (the alternation across
 // segment files is what makes merge reads seeky), runs the per-byte CPU cost
 // on the VM's vCPU, and writes `write_ratio` output bytes per input byte as
-// an async stream. Used for map-side spill merges and the reduce-side
-// merge/reduce phase (where write_ratio is the workload's reduce output
-// ratio).
+// an async stream of bios no larger than the io unit. Used for map-side
+// spill merges and the reduce-side merge/reduce phase (where write_ratio is
+// the workload's reduce output ratio).
 #pragma once
 
 #include <functional>
@@ -73,7 +73,8 @@ class MergeOp {
   std::int64_t total_in_ = 0;
   std::int64_t read_issued_ = 0;
   std::int64_t read_done_ = 0;
-  std::int64_t write_pending_bytes_ = 0;  // fractional carry for write_ratio
+  std::int64_t cpu_done_ = 0;             // input bytes past the CPU stage
+  std::int64_t write_pending_bytes_ = 0;  // output carried to later units
   disk::Lba out_next_ = 0;
   int inflight_ = 0;              // reads in the window
   int cpu_write_inflight_ = 0;    // units in CPU/write stages
