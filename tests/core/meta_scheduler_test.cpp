@@ -151,8 +151,11 @@ TEST(MetaScheduler, ProfileEntriesCarryMeasurementTimestamps) {
 
 TEST(MetaScheduler, SingleScheduleExecutesWithoutSwitch) {
   const auto jc = small_sort();
-  MetaScheduler ms(tiny(), jc, opts_for(jc, 4));
-  const auto single = PairSchedule::single(iosched::kDefaultPair, 2);
+  const auto opts = opts_for(jc, 4);
+  MetaScheduler ms(tiny(), jc, opts);
+  // One entry per phase of the plan (128 MB on 2x2 is under two waves, so
+  // the plan keeps three phases); only the first names a pair.
+  const auto single = PairSchedule::single(iosched::kDefaultPair, opts.plan.count());
   const auto r = ms.execute(single);
   EXPECT_GT(r.seconds, 0.0);
   // Equals the plain fixed-pair run exactly. execute() averages over one

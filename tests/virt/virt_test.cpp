@@ -155,12 +155,13 @@ TEST(IoStream, SequentialReadFasterThanScattered) {
                     IoStreamParams{}, [&](Time t, iosched::IoStatus) { done = t; });
       r.simr.run();
     } else {
-      // 64 scattered 512 KB reads, serialized.
-      const std::int64_t unit = 1024;
+      // 128 scattered 256 KB reads (the largest bio a block layer accepts),
+      // serialized.
+      const std::int64_t unit = 512;
       int i = 0;
       std::function<void(Time, iosched::IoStatus)> next = [&](Time t, iosched::IoStatus) {
         done = t;
-        if (++i < 64) {
+        if (++i < 128) {
           r.host.vm(0).submit_io(9, (i * 7919) % 100000 * 1024, unit, Dir::kRead,
                                  true, next);
         }
