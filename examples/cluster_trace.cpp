@@ -21,15 +21,14 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "pair must be two letters from {n,d,a,c}\n");
     return 1;
   }
-  const auto vmm = iosched::scheduler_from_string(pair_str.substr(0, 1));
-  const auto guest = iosched::scheduler_from_string(pair_str.substr(1, 1));
-  if (!vmm || !guest) {
+  const auto pair = iosched::SchedulerPair::from_letters(pair_str);
+  if (!pair) {
     std::fprintf(stderr, "unknown scheduler letter in '%s'\n", pair_str.c_str());
     return 1;
   }
 
   cluster::ClusterConfig cfg;
-  cfg.pair = {*vmm, *guest};
+  cfg.pair = *pair;
   const auto jc = workloads::make_job(workloads::stream_sort());
 
   std::vector<std::vector<double>> host_series;

@@ -83,14 +83,6 @@ std::string seconds_to_string(double v) {
   return buf;
 }
 
-std::optional<iosched::SchedulerPair> parse_pair_code(std::string_view code) {
-  if (code.size() != 2) return std::nullopt;
-  const auto vmm = iosched::scheduler_from_string(std::string(1, code[0]));
-  const auto guest = iosched::scheduler_from_string(std::string(1, code[1]));
-  if (!vmm || !guest) return std::nullopt;
-  return iosched::SchedulerPair{*vmm, *guest};
-}
-
 }  // namespace
 
 const char* to_string(RunMode m) {
@@ -171,7 +163,7 @@ bool ScenarioSpec::apply(std::string_view key, std::string_view value,
     if (!split_list(value, ',', &items, &lerr)) return fail(lerr + " in pair");
     pairs.clear();
     for (const auto& it : items) {
-      const auto p = parse_pair_code(it);
+      const auto p = iosched::SchedulerPair::from_letters(it);
       if (!p) return fail("bad pair '" + it + "' (two of n/d/a/c, or all16)");
       pairs.push_back(*p);
     }

@@ -2,7 +2,9 @@
 #pragma once
 
 #include <array>
+#include <optional>
 #include <string>
+#include <string_view>
 
 #include "iosched/scheduler.hpp"
 
@@ -33,6 +35,15 @@ struct SchedulerPair {
   /// Two-letter form used on the paper's Fig. 5 axes: "ad".
   std::string letters() const {
     return std::string{to_letter(vmm)} + to_letter(guest);
+  }
+  /// Parse the two-letter form (either case); nullopt unless `code` is
+  /// exactly two scheduler letters.
+  static std::optional<SchedulerPair> from_letters(std::string_view code) {
+    if (code.size() != 2) return std::nullopt;
+    const auto vmm = scheduler_from_string(std::string(1, code[0]));
+    const auto guest = scheduler_from_string(std::string(1, code[1]));
+    if (!vmm || !guest) return std::nullopt;
+    return SchedulerPair{*vmm, *guest};
   }
 };
 

@@ -225,12 +225,6 @@ bool parse_admit(const std::vector<std::string>& fields, StreamSpec* spec,
   return true;
 }
 
-bool valid_pair_code(const std::string& code) {
-  return code.size() == 2 &&
-         iosched::scheduler_from_string(std::string(1, code[0])).has_value() &&
-         iosched::scheduler_from_string(std::string(1, code[1])).has_value();
-}
-
 bool parse_meta(const std::vector<std::string>& fields, StreamSpec* spec,
                 bool* seen, std::string* err) {
   if (*seen) return fail(err, "stream: duplicate meta segment");
@@ -262,7 +256,7 @@ bool parse_meta(const std::vector<std::string>& fields, StreamSpec* spec,
         return fail(err, "stream: budget must be in 1..16, got '" + v + "'");
       }
     } else if (k == "pair") {
-      if (!valid_pair_code(v)) {
+      if (!iosched::SchedulerPair::from_letters(v)) {
         return fail(err, "stream: bad meta pair '" + v + "' (two of n/d/a/c)");
       }
       m.pair = v;
