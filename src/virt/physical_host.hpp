@@ -41,20 +41,15 @@ class PhysicalHost {
   DomU& vm(std::size_t i) { return *vms_[i]; }
   const DomU& vm(std::size_t i) const { return *vms_[i]; }
 
-  /// Switch the Dom0 elevator (pays the quiesce freeze).
-  void set_vmm_scheduler(iosched::SchedulerKind k) { dom0_->switch_scheduler(k); }
-  /// Switch every guest elevator.
-  void set_guest_schedulers(iosched::SchedulerKind k) {
-    for (auto& vm : vms_) vm->set_scheduler(k);
-  }
-  /// Apply a (VMM, guest) pair to this host — the paper's primitive.
+  /// Apply a (VMM, guest) pair to this host — the paper's primitive. Every
+  /// elevator switch pays its block layer's quiesce freeze.
   void set_pair(SchedulerPair p) {
     if (auto* tr = trace::tracer()) {
       tr->instant(tr->track("host" + std::to_string(host_id_)), tr->ids.pair_switch,
                   tr->ids.cat_virt, simr_.now(), tr->ids.pair, pair_code(p));
     }
-    set_vmm_scheduler(p.vmm);
-    set_guest_schedulers(p.guest);
+    dom0_->switch_scheduler(p.vmm);
+    for (auto& vm : vms_) vm->set_scheduler(p.guest);
   }
 
   /// Dense encoding of a pair for trace arguments: vmm * 4 + guest.
