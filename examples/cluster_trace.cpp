@@ -6,10 +6,11 @@
 //   pair: two letters, VMM then VM, from {n,d,a,c} — e.g. "ad" for
 //         (anticipatory, deadline). Default: "cc".
 #include <cstdio>
+#include <memory>
 #include <string>
 
 #include "cluster/runner.hpp"
-#include "metrics/throughput_probe.hpp"
+#include "metrics/iostat_sampler.hpp"
 #include "workloads/benchmarks.hpp"
 
 using namespace iosim;
@@ -31,25 +32,15 @@ int main(int argc, char** argv) {
   cfg.pair = *pair;
   const auto jc = workloads::make_job(workloads::stream_sort());
 
-  std::vector<std::vector<double>> host_series;
-  sim::Time t_maps, t_shuffle, t_done;
-  const auto r = cluster::run_job(cfg, jc, [&](cluster::Cluster& cl, mapred::Job& job) {
-    auto probes = std::make_shared<std::vector<std::unique_ptr<metrics::ThroughputProbe>>>();
-    for (std::size_t h = 0; h < cl.n_hosts(); ++h) {
-      probes->push_back(std::make_unique<metrics::ThroughputProbe>(cl.host(h).dom0_layer()));
-    }
-    job.on_done = [&, probes](sim::Time t) {
-      t_done = t;
-      for (const auto& p : *probes) {
-        host_series.push_back(
-            p->windowed_mb_s(sim::Time::zero(), t + sim::Time::from_ns(1),
-                             sim::Time::from_sec(1))
-                .raw());
-      }
-    };
+  // Outlives the run: the last tick lands after the job's completion.
+  std::unique_ptr<metrics::IostatSampler> sampler;
+  const auto r = cluster::run_job(cfg, jc, [&sampler](cluster::Cluster& cl, mapred::Job& job) {
+    sampler = std::make_unique<metrics::IostatSampler>(cl.simr());
+    for (std::size_t h = 0; h < cl.n_hosts(); ++h) sampler->watch(cl.host(h).dom0_layer());
+    sampler->stop_when([&job] { return job.done() || job.failed(); });
+    sampler->start();
   });
-  t_maps = r.stats.t_maps_done;
-  t_shuffle = r.stats.t_shuffle_done;
+  const std::size_t n_hosts = sampler->n_layers();
 
   std::FILE* out = std::fopen(out_path.c_str(), "w");
   if (out == nullptr) {
@@ -57,26 +48,27 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::fprintf(out, "second");
-  for (std::size_t h = 0; h < host_series.size(); ++h) {
-    std::fprintf(out, ",host%zu_mb_s", h);
-  }
+  for (std::size_t h = 0; h < n_hosts; ++h) std::fprintf(out, ",host%zu_mb_s", h);
   std::fprintf(out, "\n");
-  std::size_t n = 0;
-  for (const auto& s : host_series) n = std::max(n, s.size());
+  // Every layer gets a sample at every tick: row i is the window (i, i+1] s.
+  const std::size_t n = sampler->ticks();
   for (std::size_t i = 0; i < n; ++i) {
     std::fprintf(out, "%zu", i);
-    for (const auto& s : host_series) {
-      std::fprintf(out, ",%.2f", i < s.size() ? s[i] : 0.0);
+    for (std::size_t h = 0; h < n_hosts; ++h) {
+      const auto& s = sampler->series(h)[i];
+      std::fprintf(out, ",%.2f", s.read_mb_s + s.write_mb_s);
     }
     std::fprintf(out, "\n");
   }
   std::fclose(out);
 
   std::printf("pair %s: job %.1fs (maps done %.1fs, shuffle done %.1fs)\n",
-              cfg.pair.to_string().c_str(), r.seconds, t_maps.sec(), t_shuffle.sec());
+              cfg.pair.to_string().c_str(), r.seconds, r.stats.t_maps_done.sec(),
+              r.stats.t_shuffle_done.sec());
   std::printf("wrote %zu seconds x %zu hosts of Dom0 throughput to %s\n", n,
-              host_series.size(), out_path.c_str());
+              n_hosts, out_path.c_str());
   std::printf("phase boundaries for plotting: ph1 end = %.1f, ph2 end = %.1f, job end = %.1f\n",
-              t_maps.sec(), t_shuffle.sec(), t_done.sec());
+              r.stats.t_maps_done.sec(), r.stats.t_shuffle_done.sec(),
+              r.stats.t_done.sec());
   return 0;
 }

@@ -326,10 +326,11 @@ MetaResult MetaScheduler::optimize() {
   res.adaptive_seconds = res.adaptive_run.seconds;
   res.heuristic_evaluations = evals;
 
-  if (opts_.fallback_to_best_single && std::isfinite(res.best_single_seconds) &&
+  if (std::isfinite(res.best_single_seconds) &&
       (res.adaptive_run.failed || res.adaptive_seconds > res.best_single_seconds)) {
-    // Switch costs ate the per-phase gains (or the solution failed): ship
-    // the best single pair.
+    // Switch costs ate the per-phase gains (possible on short jobs) or the
+    // solution failed: ship the best single pair. The profiling data is
+    // already paid for, so the fallback is free.
     res.solution = PairSchedule::single(res.best_single, P);
     res.adaptive_run = execute(res.solution);
     res.adaptive_seconds = res.adaptive_run.seconds;

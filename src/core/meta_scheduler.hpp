@@ -42,11 +42,6 @@ struct MetaSchedulerOptions {
   /// Seeds averaged per execution (the paper averages 3 runs; 1 keeps the
   /// search cheap and the simulator is deterministic anyway).
   int seeds_per_eval = 1;
-  /// If the greedy per-phase solution ends up slower than the best single
-  /// pair (possible when switch costs dwarf the per-phase gains — short
-  /// jobs), fall back to the single-pair schedule. The profiling data is
-  /// already paid for, so the fallback is free.
-  bool fallback_to_best_single = true;
   /// Maximum meta-clock age of a profile entry before the greedy search
   /// stops trusting it (scores drift when conditions change mid-search —
   /// e.g. fault windows opening between profiling and probing). Stale
@@ -68,8 +63,9 @@ struct MetaResult {
 
   std::vector<ProfileEntry> profile;  // all 16 single-pair runs
   int heuristic_evaluations = 0;      // full runs beyond profiling
-  /// True when the multi-pair solution lost to the best single pair and the
-  /// fallback replaced it.
+  /// True when the multi-pair solution failed or lost to the best single
+  /// pair and that pair's single schedule replaced it (optimize() always
+  /// falls back when some profile run succeeded).
   bool fell_back = false;
 
   double improvement_vs_default() const {

@@ -101,11 +101,8 @@ std::string to_json(const ScenarioSpec& spec, const SweepAggregate& agg,
   return s;
 }
 
-metrics::Table to_table(const ScenarioSpec& spec, const SweepAggregate& agg,
-                        const std::string& metric) {
-  const std::string primary =
-      !metric.empty() ? metric
-                      : (spec.mode == RunMode::kAdapt ? "adaptive_seconds" : "seconds");
+metrics::Table to_table(const ScenarioSpec& spec, const SweepAggregate& agg) {
+  const std::string primary = spec.mode == RunMode::kAdapt ? "adaptive_seconds" : "seconds";
   const auto find_primary = [&primary](const PointAggregate& pa) -> const MetricSummary* {
     for (const auto& m : pa.metrics) {
       if (m.name == primary) return &m;
@@ -113,11 +110,14 @@ metrics::Table to_table(const ScenarioSpec& spec, const SweepAggregate& agg,
     return nullptr;
   };
   // The (c,c) point of every other-axes combination, keyed by its label
-  // (labels are unique within an expansion).
+  // (labels are unique within an expansion). A single-pair sweep has no
+  // comparison to offer: each point would be its own reference.
   std::map<std::string, double> cc_mean;
-  for (const auto& pa : agg.points) {
-    const MetricSummary* ms = find_primary(pa);
-    if (ms && pa.point.pair == iosched::kDefaultPair) cc_mean[pa.point.label()] = ms->s.mean;
+  if (spec.pairs.size() > 1) {
+    for (const auto& pa : agg.points) {
+      const MetricSummary* ms = find_primary(pa);
+      if (ms && pa.point.pair == iosched::kDefaultPair) cc_mean[pa.point.label()] = ms->s.mean;
+    }
   }
 
   metrics::Table tab(spec.name + " — " + primary + " (" +

@@ -52,12 +52,12 @@ SweepAggregate aggregate(const ScenarioSpec& spec,
 std::string to_json(const ScenarioSpec& spec, const SweepAggregate& agg,
                     bool partial = false);
 
-/// Human table: one row per point, the named metric's summary columns.
-/// Empty `metric` selects the mode's primary metric (seconds /
-/// adaptive_seconds). The `vs cc` column is the point's mean relative to
-/// the point with the same other axes and pair (c,c) — negative is faster
-/// than the default pair — or `-` when the sweep has no such point.
-metrics::Table to_table(const ScenarioSpec& spec, const SweepAggregate& agg,
-                        const std::string& metric = "");
+/// Human table: one row per point, the summary columns of the mode's
+/// primary metric (seconds / adaptive_seconds). The `vs cc` column is the
+/// point's mean relative to the point with the same other axes and pair
+/// (c,c) — negative is faster than the default pair — or `-` when the sweep
+/// has no such point or its pair axis holds a single pair (every point
+/// would be its own reference).
+metrics::Table to_table(const ScenarioSpec& spec, const SweepAggregate& agg);
 
 }  // namespace iosim::exp

@@ -15,13 +15,18 @@ namespace iosim::exp {
 /// Metric names per mode, in emission order (the aggregator and the BENCH
 /// JSON preserve this order).
 ///
-/// mode=run:   seconds, ph1_seconds, ph2_seconds, ph3_seconds, ph23_seconds
+/// mode=run:   seconds, ph1_seconds, ph2_seconds, ph3_seconds, ph23_seconds,
+///             shuffle_tail_pct (the job's share spent in the shuffle tail
+///             no map overlaps — Table II's per-run ratio)
 /// mode=adapt: adaptive_seconds, default_seconds, best_single_seconds,
 ///             gain_vs_default_pct, gain_vs_best_pct, heuristic_evals
 /// stream points (stream_text set): seconds (= stream makespan),
-///             jobs_completed, jobs_failed, sla_violations, then per class
-///             <name>_jobs, <name>_p50_s, <name>_p95_s, <name>_p99_s,
-///             <name>_mean_s, <name>_sla_viol
+///             jobs_completed, jobs_failed, sla_violations, jobs_shed,
+///             jobs_retried, repair_mb, then per class <name>_jobs,
+///             <name>_p50_s, <name>_p95_s, <name>_p99_s, <name>_mean_s,
+///             <name>_sla_viol, <name>_failed, <name>_shed; a point with a
+///             meta policy then appends meta_pulls, meta_switches,
+///             meta_switch_failures, meta_decays, meta_profile_runs
 RunOutput execute_point(const ScenarioPoint& point, std::uint64_t seed);
 
 /// RunFn over a fixed expansion (the tasks' point_index selects the point).

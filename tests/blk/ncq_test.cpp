@@ -1,9 +1,13 @@
-// Tests of the NCQ-capable disk device and the latency probe.
+// Tests of the NCQ-capable disk device and of the queueing latency it
+// produces.
 #include <gtest/gtest.h>
+
+#include <vector>
 
 #include "blk/block_layer.hpp"
 #include "blk/disk_device.hpp"
-#include "metrics/latency_probe.hpp"
+#include "sim/random.hpp"
+#include "sim/stats.hpp"
 
 namespace iosim::blk {
 namespace {
@@ -94,40 +98,60 @@ TEST(Ncq, SatfReordersScatteredRequestsFaster) {
   EXPECT_LT(elapsed_with(16), elapsed_with(1) * 0.9);
 }
 
-TEST(LatencyProbe, RecordsPerDirection) {
-  Rig r(1);
-  metrics::LatencyProbe probe(r.layer);
-  r.submit(1000, Dir::kRead);
-  r.submit(500'000'000, Dir::kWrite);
-  r.simr.run();
-  EXPECT_EQ(probe.reads().size(), 1u);
-  EXPECT_EQ(probe.writes().size(), 1u);
-  EXPECT_EQ(probe.sync().size(), 1u);
-  EXPECT_EQ(probe.all().size(), 2u);
-  EXPECT_GT(probe.read_p50(), 0.0);
-  EXPECT_GT(probe.write_p50(), 0.0);
+/// Submit-to-completion latencies (ms) taken from each bio's own completion
+/// callback, bucketed by direction and sync class.
+struct Latencies {
+  std::vector<double> reads, writes, sync;
+
+  void submit(Rig& r, disk::Lba lba, Dir dir) {
+    const Time t0 = r.simr.now();
+    const bool is_sync = dir == Dir::kRead;  // Rig::submit's rule
+    r.submit(lba, dir, [this, t0, dir, is_sync](Time t) {
+      const double ms = (t - t0).ms();
+      (dir == Dir::kRead ? reads : writes).push_back(ms);
+      if (is_sync) sync.push_back(ms);
+    });
+  }
+};
+
+double pct(const std::vector<double>& xs, double p) {
+  return sim::percentile_nearest_rank(xs, p);
 }
 
-TEST(LatencyProbe, QueueingInflatesLatency) {
+TEST(Ncq, LatenciesRecordedPerDirection) {
   Rig r(1);
-  metrics::LatencyProbe probe(r.layer);
-  for (int i = 0; i < 50; ++i) r.submit(i * 10'000'000, Dir::kWrite);
+  Latencies lat;
+  lat.submit(r, 1000, Dir::kRead);
+  lat.submit(r, 500'000'000, Dir::kWrite);
+  r.simr.run();
+  EXPECT_EQ(lat.reads.size(), 1u);
+  EXPECT_EQ(lat.writes.size(), 1u);
+  EXPECT_EQ(lat.sync.size(), 1u);
+  EXPECT_EQ(lat.reads.size() + lat.writes.size(), 2u);
+  EXPECT_GT(pct(lat.reads, 0.5), 0.0);
+  EXPECT_GT(pct(lat.writes, 0.5), 0.0);
+}
+
+TEST(Ncq, QueueingInflatesLatency) {
+  Rig r(1);
+  Latencies lat;
+  for (int i = 0; i < 50; ++i) lat.submit(r, i * 10'000'000, Dir::kWrite);
   r.simr.run();
   // The last-completing requests waited behind dozens of seeks.
-  EXPECT_GT(probe.writes().quantile(0.95), 5.0 * probe.writes().quantile(0.05));
+  EXPECT_GT(pct(lat.writes, 0.95), 5.0 * pct(lat.writes, 0.05));
 }
 
-TEST(LatencyProbe, PercentilesOrdered) {
+TEST(Ncq, LatencyPercentilesOrdered) {
   Rig r(1, SchedulerKind::kDeadline);
-  metrics::LatencyProbe probe(r.layer);
+  Latencies lat;
   sim::Rng rng(9);
   for (int i = 0; i < 100; ++i) {
-    r.submit(static_cast<disk::Lba>(rng.below(1'000'000'000)),
-             i % 2 ? Dir::kRead : Dir::kWrite);
+    lat.submit(r, static_cast<disk::Lba>(rng.below(1'000'000'000)),
+               i % 2 ? Dir::kRead : Dir::kWrite);
   }
   r.simr.run();
-  EXPECT_LE(probe.read_p50(), probe.read_p99());
-  EXPECT_LE(probe.write_p50(), probe.write_p99());
+  EXPECT_LE(pct(lat.reads, 0.5), pct(lat.reads, 0.99));
+  EXPECT_LE(pct(lat.writes, 0.5), pct(lat.writes, 0.99));
 }
 
 }  // namespace

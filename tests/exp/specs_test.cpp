@@ -2,8 +2,9 @@
 // figures, so every one must keep parsing and expanding, and the figure
 // specs must keep their point counts. The paired-seed test pins the claim
 // that a seed_mode=repeat spec reproduces the per-pair seed averages of
-// cluster::run_job_avg, and the table test the `vs cc` column that carries
-// each pair's gain over the default pair.
+// cluster::run_job_avg, the tail test Table II's per-run metric, and the
+// table test the `vs cc` column that carries each pair's gain over the
+// default pair.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -32,8 +33,8 @@ std::string read_file(const std::filesystem::path& p) {
 
 TEST(BenchSpecs, EveryCommittedSpecParsesAndExpands) {
   const std::map<std::string, std::size_t> figure_points = {
-      {"fig2", 48}, {"table1", 16}, {"fig7a", 3},
-      {"fig7b", 3}, {"fig7c", 4},   {"fig7d", 4}};
+      {"fig2", 48}, {"table1", 16}, {"fig8", 4},  {"table2", 9},
+      {"fig7a", 3}, {"fig7b", 3},   {"fig7c", 4}, {"fig7d", 4}};
   std::size_t figures_seen = 0;
   std::size_t specs = 0;
   for (const auto& entry : std::filesystem::directory_iterator(IOSIM_SPECS_DIR)) {
@@ -81,10 +82,36 @@ TEST(BenchSpecs, PairedSeedMeanMatchesRunJobAvg) {
   }
 }
 
+TEST(BenchSpecs, ShuffleTailPctIsEachRunsOwnRatio) {
+  // Table II averages the per-run tail share, which differs from the ratio
+  // of the phase means, so the sweep must carry the per-run value.
+  const auto spec = ScenarioSpec::parse(
+      "name=tail\nmode=run\nbase_seed=3\nrepeats=2\nseed_mode=repeat\n"
+      "pair=cc\nworkload=sort\nhosts=2\nvms=2\nmb=128\n");
+  ASSERT_TRUE(spec.has_value());
+  const auto points = spec->expand();
+  ASSERT_EQ(points.size(), 1u);
+  const auto jc = workloads::make_job(workloads::stream_sort(), 128 * mapred::kMiB);
+  for (const auto& task : build_run_matrix(*spec)) {
+    const RunOutput out = execute_point(points[task.point_index], task.seed);
+    ASSERT_TRUE(out.ok) << out.error;
+    ASSERT_FALSE(out.metrics.empty());
+    EXPECT_EQ(out.metrics.back().first, "shuffle_tail_pct");
+    cluster::ClusterConfig cfg;
+    cfg.n_hosts = 2;
+    cfg.vms_per_host = 2;
+    cfg.seed = task.seed;
+    const double want = cluster::run_job(cfg, jc).stats.shuffle_tail_pct();
+    EXPECT_GT(want, 0.0);
+    EXPECT_EQ(out.metrics.back().second, want);
+  }
+}
+
 TEST(BenchSpecs, TableComparesEachPointWithItsDefaultPair) {
   // Fake runs: seconds = 100 * hosts, +10% for (a,d). Each (a,d) row reads
   // +10.0% against the (c,c) row of its own hosts value; a sweep with no
-  // (c,c) point prints "-".
+  // (c,c) point prints "-", and so does a single-pair sweep, whose every
+  // point would be its own reference.
   const auto fake = [](const ScenarioPoint& p) {
     RunOutput o;
     const double base = 100.0 * p.hosts;
@@ -112,6 +139,8 @@ TEST(BenchSpecs, TableComparesEachPointWithItsDefaultPair) {
             (std::vector<std::string>{"vs cc", "+0.0%", "+10.0%", "+0.0%", "+10.0%"}));
   EXPECT_EQ(vs_cc_column("repeats=1\npair=ad\n"),
             (std::vector<std::string>{"vs cc", "-"}));
+  EXPECT_EQ(vs_cc_column("repeats=1\npair=cc\nhosts=2,3\n"),
+            (std::vector<std::string>{"vs cc", "-", "-"}));
 }
 
 }  // namespace

@@ -1,8 +1,9 @@
 #include <gtest/gtest.h>
 
-#include "blk/disk_device.hpp"
+#include "blk/block_layer.hpp"
+#include "blk/request_sink.hpp"
+#include "metrics/iostat_sampler.hpp"
 #include "metrics/table.hpp"
-#include "metrics/throughput_probe.hpp"
 
 namespace iosim::metrics {
 namespace {
@@ -35,70 +36,84 @@ TEST(Table, PrintDoesNotCrashOnRaggedRows) {
   std::fclose(sink);
 }
 
-struct ProbeRig {
-  sim::Simulator simr;
-  blk::DiskDevice disk{simr, disk::DiskParams{}, 1};
-  blk::BlockLayer layer{simr, disk, blk::BlockLayerConfig{}};
-  ThroughputProbe probe{layer};
+/// Capacity-1 sink that completes every request exactly `latency` after
+/// dispatch — timings become pencil-and-paper checkable, unlike DiskDevice
+/// whose service time depends on seek distance.
+class FixedLatencySink : public blk::RequestSink {
+ public:
+  FixedLatencySink(sim::Simulator& simr, Time latency)
+      : simr_(simr), latency_(latency) {}
 
-  void submit(disk::Lba lba, std::int64_t sectors) {
+  bool can_accept() const override { return !busy_; }
+
+  void submit(blk::Request* rq, Time) override {
+    busy_ = true;
+    simr_.after(latency_, [this, rq] {
+      const Time t = simr_.now();
+      busy_ = false;
+      complete(rq, t);
+      ready(t);
+    });
+  }
+
+ private:
+  sim::Simulator& simr_;
+  Time latency_;
+  bool busy_ = false;
+};
+
+TEST(IostatSampler, HandComputedWindowedThroughput) {
+  // Sink latency 4ms, noop, 10ms sampling period from t=0:
+  //   t=0ms:  8-sector sync read, completes t=4ms              -> window 1
+  //   t=1ms:  16-sector async write, waits for the sink until
+  //           4ms, completes t=8ms                             -> window 1
+  //   t=23ms: 8-sector async write, completes t=27ms           -> window 3
+  // Window 2 is idle. Each window's MB/s is its bytes / 10ms / 1e6.
+  sim::Simulator simr;
+  FixedLatencySink sink(simr, 4_ms);
+  blk::BlockLayerConfig cfg;
+  cfg.scheduler = iosched::SchedulerKind::kNoop;
+  blk::BlockLayer layer(simr, sink, cfg);
+  int completed = 0;
+  const auto submit = [&](disk::Lba lba, std::int64_t sectors, iosched::Dir dir) {
     blk::Bio b;
     b.lba = lba;
     b.sectors = sectors;
-    b.dir = iosched::Dir::kWrite;
-    b.sync = false;
-    b.ctx = 1;
+    b.dir = dir;
+    b.sync = dir == iosched::Dir::kRead;
+    b.on_complete = [&completed](Time, iosched::IoStatus) { ++completed; };
     layer.submit(std::move(b));
+  };
+  submit(1'000, 8, iosched::Dir::kRead);
+  simr.after(1_ms, [&] { submit(50'000, 16, iosched::Dir::kWrite); });
+  simr.after(23_ms, [&] { submit(90'000, 8, iosched::Dir::kWrite); });
+
+  IostatOptions opt;
+  opt.period = 10_ms;
+  IostatSampler sampler(simr, opt);
+  sampler.watch(layer);
+  sampler.stop_when([&completed] { return completed == 3; });
+  sampler.start();
+  simr.run();
+
+  ASSERT_EQ(completed, 3);
+  ASSERT_EQ(sampler.ticks(), 3u);
+  const auto& s = sampler.series(0);
+  ASSERT_EQ(s.size(), 3u);
+  const double kB4 = 4096.0 / 0.010 / 1e6;  // one 8-sector bio per window
+  EXPECT_EQ(s[0].t, 10_ms);
+  EXPECT_DOUBLE_EQ(s[0].read_mb_s, kB4);
+  EXPECT_DOUBLE_EQ(s[0].write_mb_s, 2 * kB4);
+  EXPECT_EQ(s[1].t, 20_ms);
+  EXPECT_DOUBLE_EQ(s[1].read_mb_s, 0.0);
+  EXPECT_DOUBLE_EQ(s[1].write_mb_s, 0.0);
+  EXPECT_EQ(s[2].t, 30_ms);
+  EXPECT_DOUBLE_EQ(s[2].read_mb_s, 0.0);
+  EXPECT_DOUBLE_EQ(s[2].write_mb_s, kB4);
+  for (const auto& x : s) {
+    EXPECT_EQ(x.queued, 0u);
+    EXPECT_EQ(x.in_flight, 0u);
   }
-};
-
-TEST(ThroughputProbe, CountsAllBytes) {
-  ProbeRig r;
-  for (int i = 0; i < 10; ++i) r.submit(i * 100000, 512);
-  r.simr.run();
-  EXPECT_EQ(r.probe.total_bytes(), 10 * 512 * disk::kSectorBytes);
-  EXPECT_GT(r.probe.completions(), 0u);
-}
-
-TEST(ThroughputProbe, MeanThroughputPositive) {
-  ProbeRig r;
-  for (int i = 0; i < 20; ++i) r.submit(1'000'000 + i * 512, 512);
-  r.simr.run();
-  EXPECT_GT(r.probe.mean_bps(), 0.0);
-  // Sequential stream: should be within the disk's media-rate ballpark.
-  EXPECT_LT(r.probe.mean_bps(), 200e6);
-}
-
-TEST(ThroughputProbe, WindowedSamplesCoverTheRun) {
-  ProbeRig r;
-  for (int i = 0; i < 20; ++i) r.submit(1'000'000 + i * 512, 512);
-  r.simr.run();
-  const Time end = r.simr.now() + Time::from_ns(1);  // half-open window range
-  auto samples = r.probe.windowed_mb_s(Time::zero(), end, 10_ms);
-  ASSERT_FALSE(samples.empty());
-  // Total bytes reconstructed from windows matches the probe.
-  double mb = 0;
-  for (double s : samples.raw()) mb += s * 0.010;  // MB per 10ms window
-  EXPECT_NEAR(mb * 1e6, static_cast<double>(r.probe.total_bytes()),
-              static_cast<double>(r.probe.total_bytes()) * 0.02);
-}
-
-TEST(ThroughputProbe, IdleWindowsOptional) {
-  ProbeRig r;
-  r.submit(0, 512);
-  r.simr.run();
-  const Time end = r.simr.now() + 1_sec;  // force idle windows at the tail
-  const auto with_idle = r.probe.windowed_mb_s(Time::zero(), end, 10_ms, true);
-  const auto without = r.probe.windowed_mb_s(Time::zero(), end, 10_ms, false);
-  EXPECT_GT(with_idle.size(), without.size());
-}
-
-TEST(ThroughputProbe, EmptyRangeYieldsNothing) {
-  ProbeRig r;
-  r.submit(0, 512);
-  r.simr.run();
-  EXPECT_EQ(r.probe.windowed_mb_s(1_sec, 1_sec, 10_ms).size(), 0u);
-  EXPECT_EQ(r.probe.windowed_mb_s(2_sec, 1_sec, 10_ms).size(), 0u);
 }
 
 }  // namespace
