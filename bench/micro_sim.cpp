@@ -17,9 +17,10 @@
 //                     cluster-phase change and 5 s tick
 //   fig2-point      — one seeded wordcount run of the Fig. 2 testbed
 //
-// Each probe runs `--reps` times (default 3) and reports the best rep: the
-// minimum wall time is the least-noise estimate of the code's true cost,
-// which is what a CI regression gate needs. Metrics land in the standard
+// Each probe runs `--reps` times (default 3; anything but a positive
+// integer exits 2) and reports the best rep: the minimum wall time is the
+// least-noise estimate of the code's true cost, which is what a CI
+// regression gate needs. Metrics land in the standard
 // BENCH JSON via `--json FILE` (see bench_util.hpp); tools/bench_compare
 // gates them against bench/baselines/micro_sim.json in the perf-smoke CI
 // job. Metric naming contract: `*_per_sec` is higher-is-better,
@@ -41,6 +42,7 @@
 #include "blk/disk_device.hpp"
 #include "cluster/runner.hpp"
 #include "obs/attribution.hpp"
+#include "sim/lex.hpp"
 #include "sim/simulator.hpp"
 #include "virt/physical_host.hpp"
 
@@ -358,10 +360,15 @@ int main(int argc, char** argv) {
   int reps = 3;
   std::uint64_t scale = 1;  // divide workloads by this (for test smoke runs)
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--reps") == 0 && i + 1 < argc) reps = std::atoi(argv[++i]);
+    if (std::strcmp(argv[i], "--reps") == 0 && i + 1 < argc) {
+      if (!lex::parse_int(argv[++i], &reps) || reps < 1) {
+        std::fprintf(stderr, "micro_sim: --reps must be a positive integer, got '%s'\n",
+                     argv[i]);
+        return 2;
+      }
+    }
     if (std::strcmp(argv[i], "--quick") == 0) scale = 16;
   }
-  if (reps < 1) reps = 1;
 
   bench::print_header("micro_sim", "event-loop hot-path microbenchmarks");
   std::printf("reps: %d (reporting the best), scale divisor: %" PRIu64 "\n\n", reps,

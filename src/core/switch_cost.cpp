@@ -42,11 +42,6 @@ SwitchCostMatrix SwitchCostMatrix::measure(const SwitchCostConfig& cfg) {
   }
   for (const auto& a : pairs) {
     for (const auto& b : pairs) {
-      if (a == b && !cfg.switch_same_pair) {
-        m.cost_[static_cast<std::size_t>(a.index())]
-               [static_cast<std::size_t>(b.index())] = 0.0;
-        continue;
-      }
       const double t_both = run_dd_experiment(cfg, a, &b);
       const double base = 0.5 * (m.solo_[static_cast<std::size_t>(a.index())] +
                                  m.solo_[static_cast<std::size_t>(b.index())]);

@@ -1,8 +1,8 @@
 // iosim: switch-cost prediction model (the paper's "ultimately we would
 // want to build a general prediction model for the scheduler switch").
 //
-// A 16x16 EWMA table of observed switch costs, seeded either analytically
-// (drain estimate + quiesce) or from a measured SwitchCostMatrix.
+// A 16x16 EWMA table of observed switch costs, seeded analytically (drain
+// estimate + quiesce).
 // PairController's host-scope regime switching consults it to gate
 // switches: only switch when the predicted saving over the remaining
 // horizon exceeds the predicted cost.
@@ -10,7 +10,6 @@
 
 #include <array>
 
-#include "core/switch_cost.hpp"
 #include "iosched/pair.hpp"
 #include "sim/time.hpp"
 
@@ -22,17 +21,6 @@ class SwitchPredictor {
   /// quiesce estimate: drain + re-init on every layer).
   explicit SwitchPredictor(double base_cost_seconds = 2.0) {
     for (auto& row : cost_) row.fill(base_cost_seconds);
-  }
-
-  /// Seed from a measured matrix (Fig. 5 methodology).
-  explicit SwitchPredictor(const SwitchCostMatrix& measured) {
-    for (int a = 0; a < iosched::kNumSchedulerPairs; ++a) {
-      for (int b = 0; b < iosched::kNumSchedulerPairs; ++b) {
-        cost_[static_cast<std::size_t>(a)][static_cast<std::size_t>(b)] =
-            std::max(0.0, measured.cost_seconds(iosched::SchedulerPair::from_index(a),
-                                                iosched::SchedulerPair::from_index(b)));
-      }
-    }
   }
 
   double predict_seconds(iosched::SchedulerPair from, iosched::SchedulerPair to) const {

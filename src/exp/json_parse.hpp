@@ -7,7 +7,7 @@
 // resume byte-identity:
 //
 //  * object keys keep file order (metrics re-aggregate in emission order);
-//  * every number keeps its raw token next to the strtod value, so 64-bit
+//  * every number keeps its raw token next to its double value, so 64-bit
 //    seeds (which do not fit a double) round-trip losslessly and doubles
 //    re-parse to the exact bits format_double printed.
 #pragma once

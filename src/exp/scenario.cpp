@@ -1,89 +1,12 @@
 #include "exp/scenario.hpp"
 
-#include <cerrno>
-#include <cstdio>
-#include <cstdlib>
-
 #include "exp/artifact.hpp"
 
+#include "sim/lex.hpp"
 #include "sim/random.hpp"
 #include "workloads/benchmarks.hpp"
 
 namespace iosim::exp {
-
-namespace {
-
-std::string_view trim(std::string_view s) {
-  while (!s.empty() && (s.front() == ' ' || s.front() == '\t' || s.front() == '\r')) {
-    s.remove_prefix(1);
-  }
-  while (!s.empty() && (s.back() == ' ' || s.back() == '\t' || s.back() == '\r')) {
-    s.remove_suffix(1);
-  }
-  return s;
-}
-
-/// Split on `sep`, trimming each piece; empty pieces are errors (a stray
-/// trailing comma silently shrinking an axis would corrupt the matrix).
-bool split_list(std::string_view v, char sep, std::vector<std::string>* out,
-                std::string* error) {
-  out->clear();
-  while (true) {
-    const auto pos = v.find(sep);
-    const std::string_view item = trim(v.substr(0, pos));
-    if (item.empty()) {
-      if (error) *error = "empty list element";
-      return false;
-    }
-    out->emplace_back(item);
-    if (pos == std::string_view::npos) return true;
-    v.remove_prefix(pos + 1);
-  }
-}
-
-bool parse_u64(std::string_view v, std::uint64_t* out) {
-  if (v.empty()) return false;
-  errno = 0;
-  char* end = nullptr;
-  const std::string s(v);
-  const unsigned long long x = std::strtoull(s.c_str(), &end, 10);
-  if (errno != 0 || end != s.c_str() + s.size()) return false;
-  *out = x;
-  return true;
-}
-
-bool parse_pos_int(std::string_view v, int* out) {
-  std::uint64_t x;
-  if (!parse_u64(v, &x) || x == 0 || x > 1'000'000) return false;
-  *out = static_cast<int>(x);
-  return true;
-}
-
-/// Non-negative decimal seconds (0 disables the knob it configures).
-bool parse_seconds(std::string_view v, double* out) {
-  if (v.empty()) return false;
-  errno = 0;
-  char* end = nullptr;
-  const std::string s(v);
-  const double x = std::strtod(s.c_str(), &end);
-  if (errno != 0 || end != s.c_str() + s.size()) return false;
-  if (!(x >= 0.0) || x > 1e9) return false;  // also rejects NaN
-  *out = x;
-  return true;
-}
-
-/// Shortest round-trip rendering for canonical spec text (same discipline
-/// as JsonWriter::format_double, so to_string()->parse() is lossless).
-std::string seconds_to_string(double v) {
-  char buf[40];
-  for (int prec = 15; prec <= 17; ++prec) {
-    std::snprintf(buf, sizeof buf, "%.*g", prec, v);
-    if (std::strtod(buf, nullptr) == v) break;
-  }
-  return buf;
-}
-
-}  // namespace
 
 const char* to_string(RunMode m) {
   return m == RunMode::kRun ? "run" : "adapt";
@@ -109,12 +32,22 @@ bool ScenarioSpec::apply(std::string_view key, std::string_view value,
     if (error) *error = msg;
     return false;
   };
-  key = trim(key);
-  value = trim(value);
-  if (value.empty()) return fail("empty value for '" + std::string(key) + "'");
+  key = lex::trim(key);
+  value = lex::trim(value);
+  const std::string k(key);
+  const auto bad = [&](const std::string& what, const char* hint = "") {
+    return fail("bad " + what + " '" + std::string(value) + "'" + hint);
+  };
+  if (value.empty()) return fail("empty value for '" + k + "'");
 
-  std::vector<std::string> items;
-  std::string lerr;
+  // Every list-valued key splits the same way; the diagnostic names the key.
+  std::vector<std::string_view> items;
+  const auto split_items = [&](char sep) {
+    auto parts = lex::list(value, sep);
+    if (!parts) return fail("empty list element in " + k);
+    items = std::move(*parts);
+    return true;
+  };
 
   if (key == "name") {
     name = std::string(value);
@@ -126,13 +59,13 @@ bool ScenarioSpec::apply(std::string_view key, std::string_view value,
     } else if (value == "adapt") {
       mode = RunMode::kAdapt;
     } else {
-      return fail("bad mode '" + std::string(value) + "' (run|adapt)");
+      return bad("mode", " (run|adapt)");
     }
     return true;
   }
-  if (key == "base_seed") {
-    if (!parse_u64(value, &base_seed)) {
-      return fail("bad base_seed '" + std::string(value) + "'");
+  if (key == "base_seed" || key == "max_events") {
+    if (!lex::parse_int(value, key == "base_seed" ? &base_seed : &max_events)) {
+      return bad(k);
     }
     return true;
   }
@@ -142,14 +75,14 @@ bool ScenarioSpec::apply(std::string_view key, std::string_view value,
     } else if (value == "repeat") {
       paired_seeds = true;
     } else {
-      return fail("bad seed_mode '" + std::string(value) + "' (run|repeat)");
+      return bad("seed_mode", " (run|repeat)");
     }
     return true;
   }
   if (key == "repeats") {
     int r;
-    if (!parse_pos_int(value, &r) || r > 10'000) {
-      return fail("bad repeats '" + std::string(value) + "' (1..10000)");
+    if (!lex::parse_int(value, &r) || r < 1 || r > 10'000) {
+      return bad("repeats", " (1..10000)");
     }
     repeats = r;
     return true;
@@ -160,35 +93,35 @@ bool ScenarioSpec::apply(std::string_view key, std::string_view value,
       pairs.assign(all.begin(), all.end());
       return true;
     }
-    if (!split_list(value, ',', &items, &lerr)) return fail(lerr + " in pair");
+    if (!split_items(',')) return false;
     pairs.clear();
-    for (const auto& it : items) {
+    for (const auto it : items) {
       const auto p = iosched::SchedulerPair::from_letters(it);
-      if (!p) return fail("bad pair '" + it + "' (two of n/d/a/c, or all16)");
+      if (!p) {
+        return fail("bad pair '" + std::string(it) + "' (two of n/d/a/c, or all16)");
+      }
       pairs.push_back(*p);
     }
     return true;
   }
   if (key == "workload") {
-    if (!split_list(value, ',', &items, &lerr)) return fail(lerr + " in workload");
+    if (!split_items(',')) return false;
     std::vector<std::string> named;
-    for (const auto& it : items) {
+    for (const auto it : items) {
       const auto model = workloads::by_name(it);
-      if (!model) return fail("unknown workload '" + it + "'");
+      if (!model) return fail("unknown workload '" + std::string(it) + "'");
       named.push_back(model->name);  // canonical: "wc" and "wordcount" collide
     }
     workloads = std::move(named);
     return true;
   }
   if (key == "hosts" || key == "vms") {
-    if (!split_list(value, ',', &items, &lerr)) {
-      return fail(lerr + " in " + std::string(key));
-    }
+    if (!split_items(',')) return false;
     std::vector<int> xs;
-    for (const auto& it : items) {
+    for (const auto it : items) {
       int x;
-      if (!parse_pos_int(it, &x) || x > 1024) {
-        return fail("bad " + std::string(key) + " value '" + it + "'");
+      if (!lex::parse_int(it, &x) || x < 1 || x > 1024) {
+        return fail("bad " + k + " value '" + std::string(it) + "'");
       }
       xs.push_back(x);
     }
@@ -196,84 +129,69 @@ bool ScenarioSpec::apply(std::string_view key, std::string_view value,
     return true;
   }
   if (key == "mb") {
-    if (!split_list(value, ',', &items, &lerr)) return fail(lerr + " in mb");
+    if (!split_items(',')) return false;
     mb.clear();
-    for (const auto& it : items) {
-      std::uint64_t x;
-      if (!parse_u64(it, &x) || x == 0 || x > (1ULL << 30)) {
-        return fail("bad mb value '" + it + "'");
+    for (const auto it : items) {
+      std::int64_t x;
+      if (!lex::parse_int(it, &x) || x < 1 || x > (std::int64_t{1} << 30)) {
+        return fail("bad mb value '" + std::string(it) + "'");
       }
-      mb.push_back(static_cast<std::int64_t>(x));
+      mb.push_back(x);
     }
     return true;
   }
-  if (key == "timeout") {
+  if (key == "timeout" || key == "max_sim_seconds") {
+    // Non-negative seconds; 0 disables the knob.
     double s;
-    if (!parse_seconds(value, &s)) {
-      return fail("bad timeout '" + std::string(value) + "' (seconds, >= 0)");
+    if (!lex::parse_double(value, &s) || s < 0.0 || s > 1e9) {
+      return bad(k, " (seconds, >= 0)");
     }
-    timeout_seconds = s;
-    return true;
-  }
-  if (key == "max_events") {
-    std::uint64_t x;
-    if (!parse_u64(value, &x)) {
-      return fail("bad max_events '" + std::string(value) + "'");
-    }
-    max_events = x;
-    return true;
-  }
-  if (key == "max_sim_seconds") {
-    double s;
-    if (!parse_seconds(value, &s)) {
-      return fail("bad max_sim_seconds '" + std::string(value) + "' (seconds, >= 0)");
-    }
-    max_sim_seconds = s;
+    (key == "timeout" ? timeout_seconds : max_sim_seconds) = s;
     return true;
   }
   if (key == "fault") {
     // Alternatives are `|`-separated because the fault-plan grammar itself
     // uses `,` and `;`.
-    if (!split_list(value, '|', &items, &lerr)) return fail(lerr + " in fault");
+    if (!split_items('|')) return false;
     faults.clear();
-    for (const auto& it : items) {
-      if (it == "none") {
+    for (const auto it : items) {
+      const std::string text(it);
+      if (text == "none") {
         faults.push_back({{}, ""});
         continue;
       }
       std::string ferr;
-      auto plan = fault::FaultPlan::parse(it, &ferr);
-      if (!plan) return fail("bad fault '" + it + "': " + ferr);
-      faults.push_back({*plan, it});
+      auto plan = fault::FaultPlan::parse(text, &ferr);
+      if (!plan) return fail("bad fault '" + text + "': " + ferr);
+      faults.push_back({*plan, text});
     }
     return true;
   }
   if (key == "stream") {
     // `|`-separated like fault, because the stream grammar uses `,`/`;`.
-    if (!split_list(value, '|', &items, &lerr)) return fail(lerr + " in stream");
+    if (!split_items('|')) return false;
     streams.clear();
-    for (const auto& it : items) {
-      if (it == "none") {
+    for (const auto it : items) {
+      const std::string text(it);
+      if (text == "none") {
         streams.push_back({{}, ""});
         continue;
       }
       std::string serr;
-      auto st = tenancy::StreamSpec::parse(it, &serr);
-      if (!st) return fail("bad stream '" + it + "': " + serr);
-      streams.push_back({*st, it});
+      auto st = tenancy::StreamSpec::parse(text, &serr);
+      if (!st) return fail("bad stream '" + text + "': " + serr);
+      streams.push_back({*st, text});
     }
     return true;
   }
   if (key == "stream_policy") {
-    if (!split_list(value, ',', &items, &lerr)) {
-      return fail(lerr + " in stream_policy");
-    }
+    if (!split_items(',')) return false;
     stream_policies.clear();
-    for (const auto& it : items) {
+    for (const auto it : items) {
       if (!tenancy::policy_by_name(it)) {
-        return fail("bad stream_policy '" + it + "' (fifo|fair|capacity)");
+        return fail("bad stream_policy '" + std::string(it) + "' (fifo|fair|capacity)");
       }
-      stream_policies.push_back(it);
+      stream_policies.emplace_back(it);
     }
     return true;
   }
@@ -281,23 +199,23 @@ bool ScenarioSpec::apply(std::string_view key, std::string_view value,
     // `|`-separated meta-segment bodies (the segment grammar uses `,`).
     // Per-body validation happens in validate(), where the stream axis the
     // body folds into is known.
-    if (!split_list(value, '|', &items, &lerr)) return fail(lerr + " in meta");
+    if (!split_items('|')) return false;
     metas.clear();
-    for (const auto& it : items) {
+    for (const auto it : items) {
       if (it == "none") {
-        metas.push_back("");
+        metas.emplace_back();
         continue;
       }
-      if (it.compare(0, 7, "policy=") != 0) {
-        return fail("bad meta '" + it +
+      if (it.substr(0, 7) != "policy=") {
+        return fail("bad meta '" + std::string(it) +
                     "' (expected none or a meta segment body starting with "
                     "policy=)");
       }
-      metas.push_back(it);
+      metas.emplace_back(it);
     }
     return true;
   }
-  return fail("unknown key '" + std::string(key) + "'");
+  return fail("unknown key '" + k + "'");
 }
 
 std::optional<ScenarioSpec> ScenarioSpec::parse(std::string_view text,
@@ -305,15 +223,12 @@ std::optional<ScenarioSpec> ScenarioSpec::parse(std::string_view text,
   ScenarioSpec spec;
   std::vector<std::string> seen;
   int line_no = 0;
-  while (!text.empty()) {
-    const auto nl = text.find('\n');
-    std::string_view line = text.substr(0, nl);
-    text = nl == std::string_view::npos ? std::string_view{} : text.substr(nl + 1);
+  for (std::string_view line : lex::split(text, '\n')) {
     ++line_no;
     if (const auto hash = line.find('#'); hash != std::string_view::npos) {
       line = line.substr(0, hash);
     }
-    line = trim(line);
+    line = lex::trim(line);
     if (line.empty()) continue;
     const auto eq = line.find('=');
     if (eq == std::string_view::npos) {
@@ -323,7 +238,7 @@ std::optional<ScenarioSpec> ScenarioSpec::parse(std::string_view text,
       }
       return std::nullopt;
     }
-    const std::string key(trim(line.substr(0, eq)));
+    const std::string key(lex::trim(line.substr(0, eq)));
     for (const auto& s : seen) {
       if (s == key) {
         if (error) {
@@ -355,7 +270,7 @@ bool ScenarioSpec::validate(std::string* error) const {
     return false;
   };
   // Overflow-safe product: bail as soon as the running product can no
-  // longer stay under the cap (axis sizes are never 0 — split_list rejects
+  // longer stay under the cap (axis sizes are never 0 — lex::list rejects
   // empty elements and the defaults are non-empty).
   const bool any_stream = [&] {
     for (const auto& st : streams) {
@@ -527,8 +442,8 @@ std::string ScenarioSpec::to_string() const {
     s += "\n";
   }
   s += "max_events=" + std::to_string(max_events) + "\n";
-  s += "max_sim_seconds=" + seconds_to_string(max_sim_seconds) + "\n";
-  s += "timeout=" + seconds_to_string(timeout_seconds) + "\n";
+  s += "max_sim_seconds=" + lex::format_double(max_sim_seconds) + "\n";
+  s += "timeout=" + lex::format_double(timeout_seconds) + "\n";
   return s;
 }
 

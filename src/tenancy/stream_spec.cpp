@@ -1,97 +1,57 @@
 #include "tenancy/stream_spec.hpp"
 
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
-
 #include "iosched/pair.hpp"
+#include "sim/lex.hpp"
 #include "workloads/benchmarks.hpp"
 
 namespace iosim::tenancy {
 
 namespace {
 
-/// Shortest %g that round-trips the double (same contract as the scenario
-/// grammar's seconds_to_string, so canonical text is stable).
-std::string num_to_string(double v) {
-  char buf[40];
-  for (int prec = 15; prec <= 17; ++prec) {
-    std::snprintf(buf, sizeof buf, "%.*g", prec, v);
-    if (std::strtod(buf, nullptr) == v) break;
-  }
-  return buf;
-}
+using Fields = std::vector<std::string_view>;
 
-bool fail(std::string* err, std::string msg) {
-  if (err != nullptr) *err = std::move(msg);
+/// Stores the concatenated diagnostic in `err` (when non-null); always false.
+template <class... Parts>
+bool fail(std::string* err, const Parts&... parts) {
+  if (err != nullptr) {
+    err->clear();
+    (err->append(std::string_view(parts)), ...);
+  }
   return false;
 }
 
-std::vector<std::string> split(const std::string& s, char sep) {
-  std::vector<std::string> out;
-  std::size_t pos = 0;
-  while (pos <= s.size()) {
-    const std::size_t at = s.find(sep, pos);
-    if (at == std::string::npos) {
-      out.push_back(s.substr(pos));
-      break;
-    }
-    out.push_back(s.substr(pos, at - pos));
-    pos = at + 1;
-  }
-  return out;
-}
-
-bool parse_double(const std::string& s, double* out) {
-  if (s.empty()) return false;
-  char* end = nullptr;
-  const double v = std::strtod(s.c_str(), &end);
-  if (end != s.c_str() + s.size()) return false;
-  *out = v;
-  return true;
-}
-
-bool parse_int(const std::string& s, int* out) {
-  double v = 0.0;
-  if (!parse_double(s, &v)) return false;
-  const int i = static_cast<int>(v);
-  if (static_cast<double>(i) != v) return false;
-  *out = i;
-  return true;
-}
-
 /// Splits "key=value"; returns false when there is no '='.
-bool keyval(const std::string& field, std::string* key, std::string* val) {
+bool keyval(std::string_view field, std::string_view* key, std::string_view* val) {
   const std::size_t eq = field.find('=');
-  if (eq == std::string::npos) return false;
+  if (eq == std::string_view::npos) return false;
   *key = field.substr(0, eq);
   *val = field.substr(eq + 1);
   return true;
 }
 
-bool parse_arrive(const std::vector<std::string>& fields, StreamSpec* spec,
+bool parse_arrive(const Fields& fields, StreamSpec* spec,
                   bool* seen, std::string* err) {
   if (*seen) return fail(err, "stream: duplicate arrive segment");
   *seen = true;
   if (fields.size() < 2) return fail(err, "stream: arrive needs a kind");
-  const std::string& kind = fields[1];
+  const std::string_view kind = fields[1];
   if (kind == "poisson") {
     spec->arrival = ArrivalKind::kPoisson;
     for (std::size_t i = 2; i < fields.size(); ++i) {
-      std::string k, v;
+      std::string_view k, v;
       if (!keyval(fields[i], &k, &v)) {
-        return fail(err, "stream: bad arrive field '" + fields[i] + "'");
+        return fail(err, "stream: bad arrive field '", fields[i], "'");
       }
       if (k == "rate") {
-        if (!parse_double(v, &spec->rate_hz) || spec->rate_hz <= 0.0) {
-          return fail(err, "stream: rate must be a positive number, got '" + v + "'");
+        if (!lex::parse_double(v, &spec->rate_hz) || spec->rate_hz <= 0.0) {
+          return fail(err, "stream: rate must be a positive number, got '", v, "'");
         }
       } else if (k == "jobs") {
-        if (!parse_int(v, &spec->n_jobs) || spec->n_jobs < 1) {
-          return fail(err, "stream: jobs must be a positive integer, got '" + v + "'");
+        if (!lex::parse_int(v, &spec->n_jobs) || spec->n_jobs < 1) {
+          return fail(err, "stream: jobs must be a positive integer, got '", v, "'");
         }
       } else {
-        return fail(err, "stream: unknown arrive key '" + k + "'");
+        return fail(err, "stream: unknown arrive key '", k, "'");
       }
     }
     return true;
@@ -99,18 +59,18 @@ bool parse_arrive(const std::vector<std::string>& fields, StreamSpec* spec,
   if (kind == "trace") {
     spec->arrival = ArrivalKind::kTrace;
     bool have_t = false;
+    double prev = -1.0;  // across repeated t= keys too: they concatenate
     for (std::size_t i = 2; i < fields.size(); ++i) {
-      std::string k, v;
+      std::string_view k, v;
       if (!keyval(fields[i], &k, &v)) {
-        return fail(err, "stream: bad arrive field '" + fields[i] + "'");
+        return fail(err, "stream: bad arrive field '", fields[i], "'");
       }
-      if (k != "t") return fail(err, "stream: unknown arrive key '" + k + "'");
+      if (k != "t") return fail(err, "stream: unknown arrive key '", k, "'");
       have_t = true;
-      double prev = -1.0;
-      for (const std::string& tok : split(v, ':')) {
+      for (const std::string_view tok : lex::split(v, ':')) {
         double t = 0.0;
-        if (!parse_double(tok, &t) || t < 0.0) {
-          return fail(err, "stream: bad arrival time '" + tok + "'");
+        if (!lex::parse_double(tok, &t) || t < 0.0) {
+          return fail(err, "stream: bad arrival time '", tok, "'");
         }
         if (t < prev) return fail(err, "stream: arrival times must be sorted");
         prev = t;
@@ -122,17 +82,17 @@ bool parse_arrive(const std::vector<std::string>& fields, StreamSpec* spec,
     }
     return true;
   }
-  return fail(err, "stream: unknown arrival kind '" + kind + "'");
+  return fail(err, "stream: unknown arrival kind '", kind, "'");
 }
 
-bool parse_class(const std::vector<std::string>& fields, StreamSpec* spec,
+bool parse_class(const Fields& fields, StreamSpec* spec,
                  std::string* err) {
   ClassSpec c;
   bool have_name = false, have_mb = false;
   for (std::size_t i = 1; i < fields.size(); ++i) {
-    std::string k, v;
+    std::string_view k, v;
     if (!keyval(fields[i], &k, &v)) {
-      return fail(err, "stream: bad class field '" + fields[i] + "'");
+      return fail(err, "stream: bad class field '", fields[i], "'");
     }
     if (k == "name") {
       if (v.empty()) return fail(err, "stream: empty class name");
@@ -140,43 +100,43 @@ bool parse_class(const std::vector<std::string>& fields, StreamSpec* spec,
       have_name = true;
     } else if (k == "wl") {
       const auto w = workloads::by_name(v);
-      if (!w) return fail(err, "stream: unknown workload '" + v + "'");
+      if (!w) return fail(err, "stream: unknown workload '", v, "'");
       c.workload = w->name;  // canonical ("wc" -> "wordcount")
     } else if (k == "mb") {
       const std::size_t dash = v.find('-');
-      const std::string lo = dash == std::string::npos ? v : v.substr(0, dash);
-      const std::string hi = dash == std::string::npos ? v : v.substr(dash + 1);
-      if (!parse_int(lo, &c.mb_min) || !parse_int(hi, &c.mb_max) ||
+      const std::string_view lo = v.substr(0, dash);
+      const std::string_view hi = dash == std::string_view::npos ? v : v.substr(dash + 1);
+      if (!lex::parse_int(lo, &c.mb_min) || !lex::parse_int(hi, &c.mb_max) ||
           c.mb_min < 1 || c.mb_max < c.mb_min) {
-        return fail(err, "stream: bad class size range '" + v + "'");
+        return fail(err, "stream: bad class size range '", v, "'");
       }
       have_mb = true;
     } else if (k == "alpha") {
-      if (!parse_double(v, &c.alpha) || c.alpha <= 0.0) {
-        return fail(err, "stream: alpha must be positive, got '" + v + "'");
+      if (!lex::parse_double(v, &c.alpha) || c.alpha <= 0.0) {
+        return fail(err, "stream: alpha must be positive, got '", v, "'");
       }
     } else if (k == "weight") {
-      if (!parse_double(v, &c.weight) || c.weight <= 0.0) {
-        return fail(err, "stream: weight must be positive, got '" + v + "'");
+      if (!lex::parse_double(v, &c.weight) || c.weight <= 0.0) {
+        return fail(err, "stream: weight must be positive, got '", v, "'");
       }
     } else if (k == "prio") {
-      if (!parse_int(v, &c.priority)) {
-        return fail(err, "stream: bad priority '" + v + "'");
+      if (!lex::parse_int(v, &c.priority)) {
+        return fail(err, "stream: bad priority '", v, "'");
       }
     } else if (k == "share") {
-      if (!parse_double(v, &c.share) || c.share < 0.0 || c.share > 1.0) {
-        return fail(err, "stream: share must be in [0,1], got '" + v + "'");
+      if (!lex::parse_double(v, &c.share) || c.share < 0.0 || c.share > 1.0) {
+        return fail(err, "stream: share must be in [0,1], got '", v, "'");
       }
     } else if (k == "deadline") {
-      if (!parse_double(v, &c.deadline_s) || c.deadline_s < 0.0) {
-        return fail(err, "stream: deadline must be >= 0, got '" + v + "'");
+      if (!lex::parse_double(v, &c.deadline_s) || c.deadline_s < 0.0) {
+        return fail(err, "stream: deadline must be >= 0, got '", v, "'");
       }
     } else if (k == "mix") {
-      if (!parse_double(v, &c.mix) || c.mix <= 0.0) {
-        return fail(err, "stream: mix must be positive, got '" + v + "'");
+      if (!lex::parse_double(v, &c.mix) || c.mix <= 0.0) {
+        return fail(err, "stream: mix must be positive, got '", v, "'");
       }
     } else {
-      return fail(err, "stream: unknown class key '" + k + "'");
+      return fail(err, "stream: unknown class key '", k, "'");
     }
   }
   if (!have_name) return fail(err, "stream: class needs name=");
@@ -190,81 +150,81 @@ bool parse_class(const std::vector<std::string>& fields, StreamSpec* spec,
   return true;
 }
 
-bool parse_admit(const std::vector<std::string>& fields, StreamSpec* spec,
+bool parse_admit(const Fields& fields, StreamSpec* spec,
                  bool* seen, std::string* err) {
   if (*seen) return fail(err, "stream: duplicate admit segment");
   *seen = true;
   bool have_active = false;
   for (std::size_t i = 1; i < fields.size(); ++i) {
-    std::string k, v;
+    std::string_view k, v;
     if (!keyval(fields[i], &k, &v)) {
-      return fail(err, "stream: bad admit field '" + fields[i] + "'");
+      return fail(err, "stream: bad admit field '", fields[i], "'");
     }
     if (k == "active") {
-      if (!parse_int(v, &spec->max_active) || spec->max_active < 1) {
-        return fail(err, "stream: active must be a positive integer, got '" + v + "'");
+      if (!lex::parse_int(v, &spec->max_active) || spec->max_active < 1) {
+        return fail(err, "stream: active must be a positive integer, got '", v, "'");
       }
       have_active = true;
     } else if (k == "queue") {
-      if (!parse_int(v, &spec->max_queue) || spec->max_queue < 0) {
-        return fail(err, "stream: queue must be >= 0, got '" + v + "'");
+      if (!lex::parse_int(v, &spec->max_queue) || spec->max_queue < 0) {
+        return fail(err, "stream: queue must be >= 0, got '", v, "'");
       }
     } else if (k == "retries") {
-      if (!parse_int(v, &spec->job_retries) || spec->job_retries < 0) {
-        return fail(err, "stream: retries must be >= 0, got '" + v + "'");
+      if (!lex::parse_int(v, &spec->job_retries) || spec->job_retries < 0) {
+        return fail(err, "stream: retries must be >= 0, got '", v, "'");
       }
     } else if (k == "backoff") {
-      if (!parse_double(v, &spec->retry_backoff_s) || spec->retry_backoff_s < 0.0) {
-        return fail(err, "stream: backoff must be >= 0, got '" + v + "'");
+      if (!lex::parse_double(v, &spec->retry_backoff_s) || spec->retry_backoff_s < 0.0) {
+        return fail(err, "stream: backoff must be >= 0, got '", v, "'");
       }
     } else {
-      return fail(err, "stream: unknown admit key '" + k + "'");
+      return fail(err, "stream: unknown admit key '", k, "'");
     }
   }
   if (!have_active) return fail(err, "stream: admit needs active=<n>");
   return true;
 }
 
-bool parse_meta(const std::vector<std::string>& fields, StreamSpec* spec,
+bool parse_meta(const Fields& fields, StreamSpec* spec,
                 bool* seen, std::string* err) {
   if (*seen) return fail(err, "stream: duplicate meta segment");
   *seen = true;
   MetaSpec m;
   for (std::size_t i = 1; i < fields.size(); ++i) {
-    std::string k, v;
+    std::string_view k, v;
     if (!keyval(fields[i], &k, &v)) {
-      return fail(err, "stream: bad meta field '" + fields[i] + "'");
+      return fail(err, "stream: bad meta field '", fields[i], "'");
     }
     if (k == "policy") {
       const auto p = meta_policy_by_name(v);
       if (!p || *p == MetaPolicy::kNone) {
-        return fail(err, "stream: unknown meta policy '" + v +
-                             "' (static|offline|ucb|egreedy)");
+        return fail(err, "stream: unknown meta policy '", v,
+                    "' (static|offline|ucb|egreedy)");
       }
       m.policy = *p;
     } else if (k == "explore") {
-      if (!parse_double(v, &m.explore) || m.explore < 0.0 || m.explore > 100.0) {
-        return fail(err, "stream: explore must be in [0,100], got '" + v + "'");
+      if (!lex::parse_double(v, &m.explore) || m.explore < 0.0 || m.explore > 100.0) {
+        return fail(err, "stream: explore must be in [0,100], got '", v, "'");
       }
     } else if (k == "decay") {
-      if (!parse_double(v, &m.decay) || m.decay <= 0.0 || m.decay > 1.0) {
-        return fail(err, "stream: decay must be in (0,1], got '" + v + "'");
+      if (!lex::parse_double(v, &m.decay) || m.decay <= 0.0 || m.decay > 1.0) {
+        return fail(err, "stream: decay must be in (0,1], got '", v, "'");
       }
     } else if (k == "budget") {
-      if (!parse_int(v, &m.budget) || m.budget < 1 ||
+      if (!lex::parse_int(v, &m.budget) || m.budget < 1 ||
           m.budget > iosched::kNumSchedulerPairs) {
-        return fail(err, "stream: budget must be in 1..16, got '" + v + "'");
+        return fail(err, "stream: budget must be in 1..16, got '", v, "'");
       }
     } else if (k == "pair") {
       if (!iosched::SchedulerPair::from_letters(v)) {
-        return fail(err, "stream: bad meta pair '" + v + "' (two of n/d/a/c)");
+        return fail(err, "stream: bad meta pair '", v, "' (two of n/d/a/c)");
       }
       m.pair = v;
     } else if (k == "profile") {
       if (v.empty()) return fail(err, "stream: empty meta profile class");
       m.profile = v;
     } else {
-      return fail(err, "stream: unknown meta key '" + k + "'");
+      return fail(err, "stream: unknown meta key '", k, "'");
     }
   }
   if (m.policy == MetaPolicy::kNone) {
@@ -296,7 +256,7 @@ const char* to_string(Policy p) {
   return "?";
 }
 
-std::optional<Policy> policy_by_name(const std::string& name) {
+std::optional<Policy> policy_by_name(std::string_view name) {
   if (name == "fifo") return Policy::kFifo;
   if (name == "fair") return Policy::kFair;
   if (name == "capacity") return Policy::kCapacity;
@@ -314,7 +274,7 @@ const char* to_string(MetaPolicy p) {
   return "?";
 }
 
-std::optional<MetaPolicy> meta_policy_by_name(const std::string& name) {
+std::optional<MetaPolicy> meta_policy_by_name(std::string_view name) {
   if (name == "none") return MetaPolicy::kNone;
   if (name == "static") return MetaPolicy::kStatic;
   if (name == "offline") return MetaPolicy::kOffline;
@@ -329,13 +289,13 @@ std::optional<StreamSpec> StreamSpec::parse(const std::string& text,
   spec.n_jobs = 0;  // defaults re-established by the arrive segment
   bool seen_arrive = false, seen_policy = false, seen_admit = false,
        seen_meta = false;
-  for (const std::string& seg : split(text, ';')) {
+  for (const std::string_view seg : lex::split(text, ';')) {
     if (seg.empty()) {
       fail(err, "stream: empty segment");
       return std::nullopt;
     }
-    const auto fields = split(seg, ',');
-    const std::string& kind = fields[0];
+    const Fields fields = lex::split(seg, ',');
+    const std::string_view kind = fields[0];
     if (kind == "arrive") {
       if (!parse_arrive(fields, &spec, &seen_arrive, err)) return std::nullopt;
     } else if (kind == "class") {
@@ -356,12 +316,12 @@ std::optional<StreamSpec> StreamSpec::parse(const std::string& text,
       }
       const auto p = policy_by_name(fields[1]);
       if (!p) {
-        fail(err, "stream: unknown policy '" + fields[1] + "'");
+        fail(err, "stream: unknown policy '", fields[1], "'");
         return std::nullopt;
       }
       spec.policy = *p;
     } else {
-      fail(err, "stream: unknown segment kind '" + kind + "'");
+      fail(err, "stream: unknown segment kind '", kind, "'");
       return std::nullopt;
     }
   }
@@ -392,30 +352,30 @@ std::optional<StreamSpec> StreamSpec::parse(const std::string& text,
 std::string StreamSpec::to_string() const {
   std::string s = "arrive,";
   if (arrival == ArrivalKind::kPoisson) {
-    s += "poisson,rate=" + num_to_string(rate_hz) + ",jobs=" +
+    s += "poisson,rate=" + lex::format_double(rate_hz) + ",jobs=" +
          std::to_string(n_jobs);
   } else {
     s += "trace,t=";
     for (std::size_t i = 0; i < trace_times_s.size(); ++i) {
       if (i > 0) s += ':';
-      s += num_to_string(trace_times_s[i]);
+      s += lex::format_double(trace_times_s[i]);
     }
   }
   for (const ClassSpec& c : classes) {
     s += ";class,name=" + c.name + ",wl=" + c.workload + ",mb=" +
          std::to_string(c.mb_min) + "-" + std::to_string(c.mb_max) +
-         ",alpha=" + num_to_string(c.alpha) +
-         ",weight=" + num_to_string(c.weight) +
+         ",alpha=" + lex::format_double(c.alpha) +
+         ",weight=" + lex::format_double(c.weight) +
          ",prio=" + std::to_string(c.priority) +
-         ",share=" + num_to_string(c.share) +
-         ",deadline=" + num_to_string(c.deadline_s) +
-         ",mix=" + num_to_string(c.mix);
+         ",share=" + lex::format_double(c.share) +
+         ",deadline=" + lex::format_double(c.deadline_s) +
+         ",mix=" + lex::format_double(c.mix);
   }
   if (max_active > 0) {
     s += ";admit,active=" + std::to_string(max_active) +
          ",queue=" + std::to_string(max_queue);
     if (job_retries > 0) s += ",retries=" + std::to_string(job_retries);
-    if (retry_backoff_s != 5.0) s += ",backoff=" + num_to_string(retry_backoff_s);
+    if (retry_backoff_s != 5.0) s += ",backoff=" + lex::format_double(retry_backoff_s);
   }
   // Rendered only when enabled, so meta-free streams keep their canonical
   // text — and therefore every scenario fingerprint and pinned digest —
@@ -424,8 +384,8 @@ std::string StreamSpec::to_string() const {
   if (meta.enabled()) {
     s += ";meta,policy=";
     s += tenancy::to_string(meta.policy);
-    if (meta.explore >= 0.0) s += ",explore=" + num_to_string(meta.explore);
-    if (meta.decay >= 0.0) s += ",decay=" + num_to_string(meta.decay);
+    if (meta.explore >= 0.0) s += ",explore=" + lex::format_double(meta.explore);
+    if (meta.decay >= 0.0) s += ",decay=" + lex::format_double(meta.decay);
     if (meta.budget > 0) s += ",budget=" + std::to_string(meta.budget);
     if (!meta.pair.empty()) s += ",pair=" + meta.pair;
     if (!meta.profile.empty()) s += ",profile=" + meta.profile;

@@ -45,6 +45,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace iosim::tenancy {
@@ -80,7 +81,7 @@ enum class ArrivalKind : std::uint8_t { kPoisson = 0, kTrace };
 enum class Policy : std::uint8_t { kFifo = 0, kFair, kCapacity };
 
 const char* to_string(Policy p);
-std::optional<Policy> policy_by_name(const std::string& name);
+std::optional<Policy> policy_by_name(std::string_view name);
 
 /// Pair-selection policy for a run (the `meta` segment). kNone means "no
 /// controller": the grammar and the runtime behave exactly as before the
@@ -90,7 +91,7 @@ std::optional<Policy> policy_by_name(const std::string& name);
 enum class MetaPolicy : std::uint8_t { kNone = 0, kStatic, kOffline, kUcb, kEgreedy };
 
 const char* to_string(MetaPolicy p);
-std::optional<MetaPolicy> meta_policy_by_name(const std::string& name);
+std::optional<MetaPolicy> meta_policy_by_name(std::string_view name);
 
 struct MetaSpec {
   MetaPolicy policy = MetaPolicy::kNone;

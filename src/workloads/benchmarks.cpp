@@ -48,7 +48,7 @@ JobConf make_job(const WorkloadModel& w, std::int64_t input_bytes_per_vm) {
   return c;
 }
 
-std::optional<WorkloadModel> by_name(const std::string& name) {
+std::optional<WorkloadModel> by_name(std::string_view name) {
   if (name == "sort") return stream_sort();
   if (name == "wordcount" || name == "wc") return wordcount();
   if (name == "wc-nocombiner" || name == "wcnc" || name == "wordcount-nocombiner") {

@@ -8,6 +8,7 @@
 
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "mapred/job_conf.hpp"
 
@@ -37,6 +38,6 @@ JobConf make_job(const WorkloadModel& w,
 /// Lookup by the CLI / scenario-spec names: "sort", "wordcount" ("wc"),
 /// "wc-nocombiner" ("wcnc"). nullopt for anything else — callers own the
 /// diagnostic.
-std::optional<WorkloadModel> by_name(const std::string& name);
+std::optional<WorkloadModel> by_name(std::string_view name);
 
 }  // namespace iosim::workloads

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <set>
 #include <string>
 
@@ -86,6 +88,20 @@ TEST(ScenarioSpec, RejectsBadValues) {
   EXPECT_FALSE(ScenarioSpec::parse("vms=1,,2\n", &err).has_value());
   EXPECT_FALSE(ScenarioSpec::parse("repeats=0\n", &err).has_value());
   EXPECT_FALSE(ScenarioSpec::parse("fault=transient:host=0\n", &err).has_value());
+}
+
+TEST(ScenarioSpec, UnsignedFieldsRejectASign) {
+  // "-1" once wrapped to 18446744073709551615; the unsigned fields take no
+  // sign, and their largest value is still reachable spelled out.
+  std::string err;
+  EXPECT_FALSE(ScenarioSpec::parse("base_seed=-1\n", &err).has_value());
+  EXPECT_NE(err.find("line 1: bad base_seed '-1'"), std::string::npos) << err;
+  EXPECT_FALSE(ScenarioSpec::parse("max_events=-1\n", &err).has_value());
+  EXPECT_NE(err.find("line 1: bad max_events '-1'"), std::string::npos) << err;
+  const auto s = ScenarioSpec::parse("base_seed=18446744073709551615\n", &err);
+  ASSERT_TRUE(s.has_value()) << err;
+  EXPECT_EQ(s->base_seed, std::numeric_limits<std::uint64_t>::max());
+  EXPECT_FALSE(ScenarioSpec::parse("base_seed=18446744073709551616\n").has_value());
 }
 
 TEST(ScenarioSpec, All16ExpandsEveryPair) {

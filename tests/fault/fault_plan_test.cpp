@@ -241,5 +241,23 @@ TEST(FaultPlanParse, RoundTripsThroughToString) {
   EXPECT_EQ(q->specs.size(), 6u);
 }
 
+TEST(FaultPlanParse, ToStringKeepsEveryDigit) {
+  // %g once cut p to six digits (0.0123457). The delay parses to
+  // 4455758412690044 ns, whose shortest seconds text (4455758.412690044)
+  // would read back one nanosecond later; it must come back exact too.
+  const auto p = FaultPlan::parse(
+      "transient:host=0,p=0.0123456789;switchdelay:delay=4455758.412690043");
+  ASSERT_TRUE(p.has_value());
+  const std::string text = p->to_string();
+  EXPECT_NE(text.find("p=0.0123456789"), std::string::npos) << text;
+  std::string err;
+  const auto q = FaultPlan::parse(text, &err);
+  ASSERT_TRUE(q.has_value()) << err << " in: " << text;
+  ASSERT_EQ(q->specs.size(), 2u);
+  EXPECT_EQ(q->specs[0].probability, 0.0123456789);
+  EXPECT_EQ(p->specs[1].delay, sim::Time::from_ns(4455758412690044));
+  EXPECT_EQ(q->specs[1].delay, p->specs[1].delay);
+}
+
 }  // namespace
 }  // namespace iosim::fault

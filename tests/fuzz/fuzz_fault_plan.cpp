@@ -1,9 +1,10 @@
 // Fuzzer for the fault-plan grammar (fault/fault_plan.hpp).
 //
 // Contract: FaultPlan::parse never crashes; an accepted plan's to_string()
-// re-parses to the same canonical text, and every accepted spec carries
-// finite, in-range numbers (NaN/inf seconds would be UB in Time::from_sec_f
-// — the original fuzzer-found bug this corpus pins).
+// re-parses to a plan equal to it field by field (so the canonical text is
+// also idempotent), and every accepted spec carries finite, in-range
+// numbers (NaN/inf seconds would be UB in Time::from_sec_f — the original
+// fuzzer-found bug this corpus pins).
 
 #include <cmath>
 #include <string>
@@ -36,10 +37,21 @@ std::string check_fault_plan(const std::string& text) {
     return "canonical text failed to re-parse: " + err2 + " | canon: " +
            iosim::fuzz::escape_for_log(canon);
   }
-  if (re->to_string() != canon) return "to_string is not idempotent";
   if (re->specs.size() != plan->specs.size()) {
     return "round-trip changed the spec count";
   }
+  for (std::size_t i = 0; i < plan->specs.size(); ++i) {
+    const auto& a = plan->specs[i];
+    const auto& b = re->specs[i];
+    if (a.kind != b.kind || a.host != b.host || a.vm != b.vm || a.from != b.from ||
+        a.until != b.until || a.probability != b.probability ||
+        a.factor != b.factor || a.lba_begin != b.lba_begin ||
+        a.lba_end != b.lba_end || a.delay != b.delay) {
+      return "round-trip changed spec " + std::to_string(i) + " | canon: " +
+             iosim::fuzz::escape_for_log(canon);
+    }
+  }
+  if (re->to_string() != canon) return "to_string is not idempotent";
   return "";
 }
 
@@ -53,5 +65,6 @@ int main(int argc, char** argv) {
       {"transient:", "lse:", "failslow:", "vmdown:", "switchfail:", "switchdelay:",
        "host=", "vm=", "p=", "lba=", "factor=", "delay=", "from=", "until=",
        ",", ";", "\n", "#", "=", "-", "0-100", "-1", "0.5", "1", "nan", "inf",
-       "-inf", "9e9", "1e10", "9.3e9", "1e-300", "99999999999999999999"});
+       "-inf", "9e9", "1e10", "9.3e9", "1e-300", "99999999999999999999",
+       "0.0123456789", "4455758.412690043"});
 }

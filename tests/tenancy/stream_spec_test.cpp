@@ -192,6 +192,62 @@ TEST(StreamSpec, RejectsMalformedMetaSegment) {
   reject((base + "meta,policy=ucb;meta,policy=ucb").c_str(), "duplicate meta segment");
 }
 
+TEST(StreamSpec, RejectsNonFiniteNumbers) {
+  // NaN passes every range check and inf is no rate, share or deadline; the
+  // stream grammar reads numbers the way the fault and scenario grammars do.
+  std::string err;
+  auto reject = [&](const std::string& text, const char* needle) {
+    EXPECT_FALSE(StreamSpec::parse(text, &err).has_value()) << text;
+    EXPECT_NE(err.find(needle), std::string::npos) << err;
+  };
+  const std::string cls = "class,name=a,wl=sort,mb=8-8";
+  const std::string base = "arrive,poisson,jobs=2;" + cls;
+  reject("arrive,poisson,rate=nan,jobs=2;" + cls, "rate must be a positive number, got 'nan'");
+  reject("arrive,poisson,rate=inf,jobs=2;" + cls, "rate must be a positive number, got 'inf'");
+  reject("arrive,trace,t=0:inf;" + cls, "bad arrival time 'inf'");
+  reject(base + ",share=nan", "share must be in [0,1], got 'nan'");
+  reject(base + ",deadline=inf", "deadline must be >= 0, got 'inf'");
+  reject(base + ",weight=1e999", "weight must be positive, got '1e999'");
+  reject(base + ";admit,active=1,backoff=nan", "backoff must be >= 0, got 'nan'");
+  reject(base + ";meta,policy=ucb,explore=nan", "explore must be in [0,100], got 'nan'");
+  reject(base + ";meta,policy=ucb,decay=nan", "decay must be in (0,1], got 'nan'");
+}
+
+TEST(StreamSpec, IntegerFieldsTakeOnlyDecimalIntegers) {
+  std::string err;
+  auto reject = [&](const std::string& text, const char* needle) {
+    EXPECT_FALSE(StreamSpec::parse(text, &err).has_value()) << text;
+    EXPECT_NE(err.find(needle), std::string::npos) << err;
+  };
+  const std::string cls = ";class,name=a,wl=sort,mb=8-8";
+  // 1e10 does not fit an int (converting it was undefined behaviour);
+  // 3.0 and 2e0 are doubles, not integers.
+  reject("arrive,poisson,jobs=1e10" + cls, "jobs must be a positive integer, got '1e10'");
+  reject("arrive,poisson,jobs=3.0" + cls, "jobs must be a positive integer, got '3.0'");
+  reject("arrive,poisson,jobs=2e0" + cls, "jobs must be a positive integer, got '2e0'");
+  reject("arrive,poisson,jobs=+2" + cls, "jobs must be a positive integer, got '+2'");
+  reject("arrive,poisson,jobs=2;class,name=a,wl=sort,mb=8.0-8", "bad class size range");
+  // A signed field keeps its sign.
+  const auto s = StreamSpec::parse("arrive,poisson,jobs=2" + cls + ",prio=-3", &err);
+  ASSERT_TRUE(s.has_value()) << err;
+  EXPECT_EQ(s->classes[0].priority, -3);
+}
+
+TEST(StreamSpec, RepeatedTraceKeysConcatenateInOrder) {
+  // Repeated t= keys append to one trace, whose canonical text must parse
+  // again: the times stay sorted across the keys, not just within each.
+  std::string err;
+  const std::string cls = ";class,name=a,wl=sort,mb=8-8";
+  EXPECT_FALSE(StreamSpec::parse("arrive,trace,t=0:2,t=0:2.5" + cls, &err).has_value());
+  EXPECT_NE(err.find("arrival times must be sorted"), std::string::npos) << err;
+  const auto s = StreamSpec::parse("arrive,trace,t=0:2,t=3" + cls, &err);
+  ASSERT_TRUE(s.has_value()) << err;
+  EXPECT_EQ(s->trace_times_s, (std::vector<double>{0.0, 2.0, 3.0}));
+  const auto again = StreamSpec::parse(s->to_string(), &err);
+  ASSERT_TRUE(again.has_value()) << err;
+  EXPECT_EQ(again->trace_times_s, s->trace_times_s);
+}
+
 TEST(StreamSpec, PolicyNames) {
   EXPECT_EQ(policy_by_name("fifo"), Policy::kFifo);
   EXPECT_EQ(policy_by_name("fair"), Policy::kFair);

@@ -25,6 +25,7 @@
 // Exit codes: 0 = all configurations clean, 1 = failures found (repro
 // files written), 2 = usage error.
 
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -35,11 +36,11 @@
 #include <vector>
 
 #include "check/check.hpp"
-#include "cli_util.hpp"
 #include "exp/artifact.hpp"
 #include "exp/runner.hpp"
 #include "exp/scenario.hpp"
 #include "obs/attribution.hpp"
+#include "sim/lex.hpp"
 #include "sim/random.hpp"
 #include "trace/trace.hpp"
 
@@ -361,16 +362,16 @@ int main(int argc, char** argv) {
     const std::string_view a = argv[i];
     const char* v = (i + 1 < argc) ? argv[i + 1] : nullptr;
     if (a == "--seed" && v != nullptr) {
-      unsigned long long x = 0;
-      if (!iosim::tools::parse_u64_arg(v, &x)) {
+      std::uint64_t x = 0;
+      if (!iosim::lex::parse_int(v, &x)) {
         std::fprintf(stderr, "iosim-soak: --seed must be an unsigned integer, got '%s'\n", v);
         return usage(argv[0]);
       }
       master = x;
       ++i;
     } else if (a == "--runs" && v != nullptr) {
-      unsigned long long x = 0;
-      if (!iosim::tools::parse_u64_arg(v, &x) || x == 0) {
+      std::uint64_t x = 0;
+      if (!iosim::lex::parse_int(v, &x) || x == 0) {
         std::fprintf(stderr, "iosim-soak: --runs must be a positive integer, got '%s'\n", v);
         return usage(argv[0]);
       }

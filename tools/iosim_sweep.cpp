@@ -53,8 +53,7 @@
 #include "exp/journal.hpp"
 #include "exp/runner.hpp"
 #include "exp/scenario.hpp"
-
-#include "cli_util.hpp"
+#include "sim/lex.hpp"
 
 using namespace iosim;
 
@@ -125,7 +124,7 @@ std::optional<Options> parse_args(int argc, char** argv) {
     } else if (s == "--workers") {
       const char* v = need_value("--workers");
       if (!v) return std::nullopt;
-      if (!tools::parse_int_arg(v, &o.workers) || o.workers < 1) {
+      if (!lex::parse_int(v, &o.workers) || o.workers < 1) {
         std::fprintf(stderr, "iosim-sweep: --workers must be an integer >= 1, got '%s'\n", v);
         return std::nullopt;
       }
@@ -159,7 +158,7 @@ std::optional<Options> parse_args(int argc, char** argv) {
     } else if (s == "--retries") {
       const char* v = need_value("--retries");
       if (!v) return std::nullopt;
-      if (!tools::parse_int_arg(v, &o.retries) || o.retries < 0) {
+      if (!lex::parse_int(v, &o.retries) || o.retries < 0) {
         std::fprintf(stderr, "iosim-sweep: --retries must be an integer >= 0, got '%s'\n", v);
         return std::nullopt;
       }

@@ -12,8 +12,11 @@
 // (bench/specs/table1.spec, `--set workload=...` for another workload).
 //
 // Every command prints a table; `--csv` switches to CSV for scripting.
-// Unknown flags, stray positionals, and malformed `--fault` specs are
-// rejected with a diagnostic and exit code 2.
+// Unknown flags, stray positionals, malformed `--fault` specs and numeric
+// flags that are not plain decimal integers in range (sim/lex.hpp: no sign,
+// no trailing garbage) are rejected with a diagnostic and exit code 2.
+#include <cinttypes>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -36,6 +39,7 @@
 #include "metrics/registry_table.hpp"
 #include "metrics/table.hpp"
 #include "obs/attribution.hpp"
+#include "sim/lex.hpp"
 #include "tenancy/stream_runner.hpp"
 #include "tenancy/stream_spec.hpp"
 #include "trace/registry.hpp"
@@ -54,11 +58,25 @@ struct Args {
     auto it = kv.find(k);
     return it == kv.end() ? d : it->second;
   }
-  long num(const std::string& k, long d) const {
+  /// A numeric flag's value; parse() has already checked it.
+  template <class Int>
+  Int num(const std::string& k, Int d) const {
     auto it = kv.find(k);
-    return it == kv.end() ? d : std::atol(it->second.c_str());
+    if (it != kv.end()) lex::parse_int(it->second, &d);
+    return d;
   }
 };
+
+/// The integer flags and the values they take: --hosts/--vms/--mb/--seeds
+/// have the bounds the sweep grammar puts on hosts/vms/mb/repeats. None
+/// takes a sign.
+struct NumFlag {
+  const char* name;
+  std::uint64_t lo, hi;
+};
+constexpr NumFlag kNumFlags[] = {{"hosts", 1, 1024},      {"vms", 1, 1024},
+                                 {"mb", 1, 1ULL << 30},   {"seeds", 1, 10'000},
+                                 {"phases", 2, 3},        {"seed", 0, UINT64_MAX}};
 
 /// Per-command flag whitelist: `valued` flags consume the next argv token,
 /// `boolean` flags stand alone.
@@ -91,6 +109,9 @@ int usage() {
                "vmdown:vm=3,from=10,until=30 switchfail:p=1 switchdelay:delay=2\n"
                "--fault-file FILE  load a `;`/newline-separated fault plan\n"
                "--speculate    enable Hadoop-style speculative map execution\n"
+               "numeric flags are strict decimal integers: --hosts/--vms "
+               "1..1024, --mb 1..1073741824, --seeds 1..10000, --phases 2|3, "
+               "--seed unsigned 64-bit\n"
                "stream flags:\n"
                "--spec SPEC    job-stream grammar (arrive,... ;class,... ;policy,...)\n"
                "--policy P     override the stream's slot policy (fifo|fair|capacity)\n"
@@ -121,6 +142,15 @@ std::optional<Args> parse(int argc, char** argv, int from, const std::string& cm
         return std::nullopt;
       }
       const std::string val = argv[++i];
+      for (const NumFlag& f : kNumFlags) {
+        std::uint64_t x = 0;
+        if (key == f.name && !(lex::parse_int(val, &x) && x >= f.lo && x <= f.hi)) {
+          std::fprintf(stderr, "iosimctl %s: --%s must be an integer in %" PRIu64
+                               "..%" PRIu64 ", got '%s'\n",
+                       cmd.c_str(), key.c_str(), f.lo, f.hi, val.c_str());
+          return std::nullopt;
+        }
+      }
       if (key == "fault" && a.has("fault")) {
         a.kv["fault"] += ";" + val;  // --fault is repeatable
       } else {
@@ -243,7 +273,7 @@ class Telemetry {
 
 mapred::JobConf workload_of(const Args& a) {
   const std::string w = a.str("workload", "sort");
-  const auto mb = a.num("mb", 512);
+  const auto mb = a.num<std::int64_t>("mb", 512);
   const auto model = workloads::by_name(w);
   if (!model) {
     std::fprintf(stderr, "unknown workload '%s'\n", w.c_str());
@@ -287,9 +317,9 @@ fault::FaultPlan faults_of(const Args& a) {
 
 cluster::ClusterConfig cluster_of(const Args& a) {
   cluster::ClusterConfig cfg;
-  cfg.n_hosts = static_cast<int>(a.num("hosts", 4));
-  cfg.vms_per_host = static_cast<int>(a.num("vms", 4));
-  cfg.seed = static_cast<std::uint64_t>(a.num("seed", 1));
+  cfg.n_hosts = a.num("hosts", 4);
+  cfg.vms_per_host = a.num("vms", 4);
+  cfg.seed = a.num<std::uint64_t>("seed", 1);
   const std::string p = a.str("pair", "cc");
   const auto pair = iosched::SchedulerPair::from_letters(p);
   if (!pair) {
@@ -323,7 +353,7 @@ int cmd_run(const Args& a) {
   Telemetry tel(a);
   const auto plan = core::PhasePlan::for_job(jc, cfg.n_hosts * cfg.vms_per_host);
   const auto r = cluster::run_job_avg(
-      cfg, jc, static_cast<int>(a.num("seeds", 1)),
+      cfg, jc, a.num("seeds", 1),
       [&tel, plan](cluster::Cluster& cl, mapred::Job& job) {
         if (tel.active()) {
           // Observation only: phase-transition instants on the trace without
@@ -358,7 +388,7 @@ int cmd_adapt(const Args& a) {
   } else {
     opts.plan = core::PhasePlan::for_job(jc, cfg.n_hosts * cfg.vms_per_host);
   }
-  opts.seeds_per_eval = static_cast<int>(a.num("seeds", 1));
+  opts.seeds_per_eval = a.num("seeds", 1);
   opts.verbose = a.has("verbose");
   Telemetry tel(a);
   core::MetaScheduler ms(cfg, jc, opts);
@@ -408,7 +438,7 @@ int cmd_sysbench(const Args& a) {
   virt::PhysicalHost host(simr, hc, 0, 0, cfg.seed);
   for (int v = 0; v < cfg.vms_per_host; ++v) host.add_vm();
   workloads::SeqWriteParams p;
-  p.bytes_per_vm = a.num("mb", 1024) * mapred::kMiB;
+  p.bytes_per_vm = a.num<std::int64_t>("mb", 1024) * mapred::kMiB;
   const auto res = workloads::run_seq_writers(simr, host, p);
   metrics::Table tab("sysbench seqwr");
   tab.headers({"pair", "VMs", "MB/VM", "elapsed s", "agg MB/s"});
@@ -499,7 +529,7 @@ int cmd_stream(const Args& a) {
 
 int cmd_switchcost(const Args& a) {
   core::SwitchCostConfig cfg;
-  cfg.dd_bytes_per_vm = a.num("mb", 600) * mapred::kMiB;
+  cfg.dd_bytes_per_vm = a.num<std::int64_t>("mb", 600) * mapred::kMiB;
   const auto m = core::SwitchCostMatrix::measure(cfg);
   const auto pairs = iosched::all_scheduler_pairs();
   metrics::Table tab("switch-cost matrix (seconds)");

@@ -29,7 +29,6 @@
 // no gateable family found (a sweep with the axis missing must not turn
 // the job green).
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <map>
@@ -39,6 +38,7 @@
 #include <vector>
 
 #include "exp/json_parse.hpp"
+#include "sim/lex.hpp"
 
 namespace {
 
@@ -57,10 +57,9 @@ int usage() {
   return 2;
 }
 
+/// A finite positive ratio: an infinite tolerance would make its gate vacuous.
 bool parse_ratio(const char* s, double* out) {
-  char* end = nullptr;
-  *out = std::strtod(s, &end);
-  return end != s && *end == '\0' && *out > 0.0;
+  return iosim::lex::parse_double(s, out) && *out > 0.0;
 }
 
 }  // namespace
