@@ -72,18 +72,4 @@ void Cluster::switch_pair(SchedulerPair p, int host) {
   }
 }
 
-bool Cluster::try_switch_pair(SchedulerPair p, int host) {
-  const auto verdict =
-      faults_ ? faults_->switch_command() : fault::FaultInjector::SwitchVerdict{};
-  if (!verdict.ok) return false;
-  if (verdict.delay > sim::Time::zero()) {
-    // The command was accepted but the actuation path (e.g. sysfs write
-    // fanned out over a slow management network) lags; the pair lands later.
-    simr_.after(verdict.delay, [this, p, host] { switch_pair(p, host); });
-    return true;
-  }
-  switch_pair(p, host);
-  return true;
-}
-
 }  // namespace iosim::cluster

@@ -57,17 +57,15 @@ class Cluster {
   std::size_t n_hosts() const { return hosts_.size(); }
   virt::PhysicalHost& host(std::size_t i) { return *hosts_[i]; }
 
-  /// `try_switch_pair`'s scope for a command addressed to every host.
+  /// `switch_pair`'s scope for a command addressed to every host.
   static constexpr int kAllHosts = -1;
 
-  /// Issue the switch command through the fault layer, to every host or to
-  /// `host` alone (this is the meta-scheduler's runtime action: it pays the
-  /// quiesce freeze on every block layer it reaches). Each command draws one
-  /// fault verdict, whatever its scope. Returns false when the command fails
-  /// (the old pair stays installed — the caller owns retry policy). A
-  /// delayed command returns true and lands after the injected latency.
-  /// Without an injector the pair is installed at once.
-  bool try_switch_pair(SchedulerPair p, int host = kAllHosts);
+  /// Install `p` now on every host or on `host` alone (this is the
+  /// meta-scheduler's runtime action: it pays the quiesce freeze on every
+  /// block layer it reaches). No fault verdict is drawn here: the
+  /// meta-scheduler's commands pass through faults() in core::PairSwitcher
+  /// first.
+  void switch_pair(SchedulerPair p, int host = kAllHosts);
 
   /// The pair installed on host 0 (every host, unless a host-scope command
   /// moved one alone).
@@ -81,8 +79,6 @@ class Cluster {
   membership::MembershipService* membership() { return members_.get(); }
 
  private:
-  void switch_pair(SchedulerPair p, int host);
-
   ClusterConfig cfg_;
   sim::Simulator simr_;
   std::unique_ptr<fault::FaultInjector> faults_;

@@ -147,8 +147,8 @@ void PairController::attach_stream(tenancy::PhaseAggregator& phases) {
 
 void PairController::enter_phase(int index, int kind, sim::Time t) {
   if (!policy_) {
-    install(*switchers_.front(), index,
-            schedule_.effective(std::min(index, schedule_.count() - 1)));
+    switchers_.front()->decide(
+        index, schedule_.effective(std::min(index, schedule_.count() - 1)));
     return;
   }
   if (kind < 0 || kind >= kPhaseKinds) return;
@@ -160,16 +160,7 @@ void PairController::enter_phase(int index, int kind, sim::Time t) {
   }
   close_window(t);
   cur_kind_ = kind;
-  install(*switchers_.front(), kind, pull(t));
-}
-
-void PairController::install(PairSwitcher& sw, int tag,
-                             std::optional<SchedulerPair> target) {
-  if (!target) return;
-  // Every decision is a boundary: any retry still chasing an older decision
-  // is stale, whether or not this one switches.
-  sw.supersede();
-  if (!(*target == sw.pair())) sw.request(tag, *target);
+  if (const auto arm = pull(t)) switchers_.front()->decide(kind, *arm);
 }
 
 void PairController::trace_switch(int tag, SchedulerPair p) {
@@ -241,11 +232,11 @@ void PairController::sample(mapred::Job& job) {
                        : read_share <= regime_.write_threshold ? 2
                                                                : 1;
     const SchedulerPair target = regime_.pairs.effective(regime);
-    const SchedulerPair current = sw.pair();
+    const SchedulerPair current = sw.heading();
     if (target == current) {
-      // The host already runs its regime's pair: a retry still chasing
-      // another pair is stale.
-      sw.supersede();
+      // The host already runs (or is headed for) its regime's pair: a retry
+      // still chasing another pair is stale.
+      sw.decide(static_cast<int>(h), target);
       st.pending_count = 0;
       continue;
     }
@@ -268,7 +259,7 @@ void PairController::sample(mapred::Job& job) {
     st.share_permille = static_cast<std::int64_t>(read_share * 1000.0);
     st.last_switch = now;
     st.pending_count = 0;
-    install(sw, static_cast<int>(h), target);
+    sw.decide(static_cast<int>(h), target);
   }
 
   attach_sampler(job);  // the next sample
@@ -331,7 +322,7 @@ std::optional<SchedulerPair> PairController::pull(sim::Time t) {
   // Without this the bandit can ping-pong faster than it can measure.
   if (switches() > 0 && (t - last_switch_) < kSamplePeriod * 2.0) return std::nullopt;
 
-  const SchedulerPair cur = cl_.pair();
+  const SchedulerPair cur = switchers_.front()->heading();
   const int cur_arm = cur.index();
 
   // Predicted switch cost, amortized over how long the chosen arm will
@@ -382,7 +373,7 @@ void PairController::ensure_ticking() {
     // stationary workloads where cluster-phase changes are rare.
     const sim::Time now = s->cl_.simr().now();
     s->close_window(now);
-    install(*s->switchers_.front(), s->cur_kind_, s->pull(now));
+    if (const auto arm = s->pull(now)) s->switchers_.front()->decide(s->cur_kind_, *arm);
     s->ensure_ticking();
   });
 }

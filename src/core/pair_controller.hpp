@@ -24,15 +24,17 @@
 //                               read/write byte mix while one job runs
 //
 // Replay and the bandit switch the whole cluster, regimes one host at a
-// time. Every decision supersedes any switch retry still chasing an older
-// one in its scope, and a switch is requested only when the decided pair
-// differs from the one installed there. Switch commands travel through the
-// cluster's fault layer via one PairSwitcher per scope: a rejected command
-// keeps the old pair and retries with capped backoff until a newer decision
-// supersedes it, so the run degrades gracefully to the previous pair.
-// Replay traces `pair switch` instants on the core track, the bandit
-// `tt_arm_switch` ones on the meta track, regimes `fg switch` on the core
-// track.
+// time. Every decision supersedes any switch retry or delayed command still
+// chasing an older one in its scope (a command in flight to the decided pair
+// stays), and a switch is requested only when the decided pair differs from
+// the one installed there. Switch commands travel through the cluster's
+// fault layer via one PairSwitcher per scope: a rejected command keeps the
+// old pair and retries with capped backoff until a newer decision supersedes
+// it, so the run degrades gracefully to the previous pair. A switch counts,
+// traces and starts the bandit's dwell gate when it lands, not when it is
+// requested: replay traces `pair switch` instants on the core track, the
+// bandit `tt_arm_switch` ones on the meta track, regimes `fg switch` on the
+// core track.
 #pragma once
 
 #include <cstdint>
@@ -132,10 +134,6 @@ class PairController : public std::enable_shared_from_this<PairController> {
   void wire_switchers();
   /// `count` summed over every switcher.
   int total(int (PairSwitcher::*count)() const) const;
-  /// Supersede, then switch if `target` differs from the pair installed in
-  /// `sw`'s scope.
-  static void install(PairSwitcher& sw, int tag,
-                      std::optional<SchedulerPair> target);
   void trace_switch(int tag, SchedulerPair p);
   void trace_switch_failed(int tag, int attempt);
 

@@ -5,10 +5,47 @@
 
 namespace iosim::core {
 
+void PairSwitcher::supersede() {
+  ++epoch_;
+  if (landing_ != sim::kInvalidEvent) {
+    cl_.simr().cancel(landing_);
+    landing_ = sim::kInvalidEvent;
+  }
+}
+
+void PairSwitcher::decide(int tag, iosched::SchedulerPair target) {
+  if (landing_ != sim::kInvalidEvent && target == landing_target_) return;
+  if (target == pair()) {
+    supersede();
+  } else {
+    request(tag, target);
+  }
+}
+
+void PairSwitcher::land(int tag, iosched::SchedulerPair target) {
+  cl_.switch_pair(target, host_);
+  ++switches_;
+  if (on_switched) on_switched(tag, target);
+}
+
 void PairSwitcher::attempt(int tag, iosched::SchedulerPair target, int failures) {
-  if (cl_.try_switch_pair(target, host_)) {
-    ++switches_;
-    if (on_switched) on_switched(tag, target);
+  // Each command draws one fault verdict, whatever its scope.
+  auto* faults = cl_.faults();
+  const auto verdict =
+      faults ? faults->switch_command() : fault::FaultInjector::SwitchVerdict{};
+  if (verdict.ok && verdict.delay > sim::Time::zero()) {
+    // Accepted, but the actuation path (e.g. a sysfs write fanned out over a
+    // slow management network) lags: the pair lands later.
+    auto self = shared_from_this();
+    landing_target_ = target;
+    landing_ = cl_.simr().after(verdict.delay, [self, tag, target] {
+      self->landing_ = sim::kInvalidEvent;
+      self->land(tag, target);
+    });
+    return;
+  }
+  if (verdict.ok) {
+    land(tag, target);
     return;
   }
   // Command rejected: the old pair stays installed in scope. Retry with

@@ -2,12 +2,14 @@
 // core::PairController (one switcher per switching scope: the whole
 // cluster, or each host under host-scope regime switching).
 //
-// A switch travels through the cluster's fault layer
-// (Cluster::try_switch_pair), addressed to the switcher's scope. A rejected
-// command leaves the old pair installed and is retried with capped
-// exponential backoff; a pending retry goes inert the moment a newer request
-// supersedes it (its target has been overtaken by a fresher decision). The
-// owner observes outcomes through the on_switched / on_switch_failed hooks.
+// A switch command draws one verdict from the cluster's fault layer, then
+// installs its pair in the switcher's scope (Cluster::switch_pair). A
+// rejected command leaves the old pair installed and is retried with capped
+// exponential backoff; a delayed one is in flight until its pair lands. A
+// pending retry goes inert, and a command in flight is cancelled, the moment
+// a newer decision supersedes it (its target has been overtaken by a fresher
+// decision). The owner observes outcomes through the on_switched /
+// on_switch_failed hooks.
 #pragma once
 
 #include <functional>
@@ -44,23 +46,38 @@ class PairSwitcher : public std::enable_shared_from_this<PairSwitcher> {
                : cl_.host(static_cast<std::size_t>(host_)).pair();
   }
 
-  /// Fires after a switch command lands; `tag` is the requester's tag (the
-  /// phase, or the host under host scope).
+  /// Fires when a switch lands — as the command is accepted, or a delayed
+  /// command's latency later; `tag` is the requester's tag (the phase, or
+  /// the host under host scope).
   std::function<void(int tag, iosched::SchedulerPair target)> on_switched;
   /// Fires after a rejected command, before any retry is scheduled;
   /// `attempt` counts from 1.
   std::function<void(int tag, int attempt)> on_switch_failed;
 
-  /// Supersede any pending retry. Call at every decision boundary, even when
-  /// no new switch is requested — a stale retry must never land after the
-  /// phase that wanted it has passed.
-  void supersede() { ++epoch_; }
+  /// The pair this scope is headed for: the target of a delayed command in
+  /// flight, else the installed pair.
+  iosched::SchedulerPair heading() const {
+    return landing_ != sim::kInvalidEvent ? landing_target_ : pair();
+  }
 
-  /// Issue a switch command (and its retry chain) toward `target`.
+  /// Supersede any pending retry and cancel a delayed command in flight — a
+  /// stale command must never land after the decision that wanted it has
+  /// been overtaken.
+  void supersede();
+
+  /// A decision boundary for `target`: a command already in flight to it
+  /// stays; anything else pending is superseded, and a switch is requested
+  /// when `target` differs from the installed pair.
+  void decide(int tag, iosched::SchedulerPair target);
+
+  /// Supersede anything pending, then issue a switch command (and its retry
+  /// chain) toward `target`.
   void request(int tag, iosched::SchedulerPair target) {
+    supersede();
     attempt(tag, target, /*failures=*/0);
   }
 
+  /// Switches that landed.
   int switches() const { return switches_; }
   /// Commands rejected by the fault layer (each schedules a retry).
   int failures() const { return failures_; }
@@ -71,6 +88,7 @@ class PairSwitcher : public std::enable_shared_from_this<PairSwitcher> {
   PairSwitcher(cluster::Cluster& cl, int host) : cl_(cl), host_(host) {}
 
   void attempt(int tag, iosched::SchedulerPair target, int failures);
+  void land(int tag, iosched::SchedulerPair target);
 
   cluster::Cluster& cl_;
   int host_;
@@ -80,6 +98,9 @@ class PairSwitcher : public std::enable_shared_from_this<PairSwitcher> {
   /// Monotone epoch: bumped by supersede(); pending retries carry the epoch
   /// they were issued under and go inert when it is stale.
   int epoch_ = 0;
+  /// A delayed command's landing event, and its target, while in flight.
+  sim::EventId landing_ = sim::kInvalidEvent;
+  iosched::SchedulerPair landing_target_;
 };
 
 }  // namespace iosim::core

@@ -1,133 +1,75 @@
 #include "iosched/anticipatory.hpp"
 
-#include <cassert>
-#include <cmath>
+#include <cstdlib>
 
 namespace iosim::iosched {
 
-void AnticipatoryScheduler::record_think_sample(CtxStats& st, double sample_ns) {
-  if (!st.has_think) {
-    st.think_ewma_ns = sample_ns;
-    st.has_think = true;
-  } else {
-    const double alpha = sample_ns > st.think_ewma_ns ? tun_.ewma_alpha_up
-                                                      : tun_.ewma_alpha_down;
-    st.think_ewma_ns += alpha * (sample_ns - st.think_ewma_ns);
-  }
-}
-
 void AnticipatoryScheduler::add(Request* rq, Time now) {
-  const int d = idx(rq->dir);
-  auto sit = sorted_[d].emplace(rq->lba, rq);
-  fifo_[d].push_back(rq);
-  auto fit = std::prev(fifo_[d].end());
-  const Time expire =
-      now + (rq->dir == Dir::kRead ? tun_.read_expire : tun_.write_expire);
-  handles_.emplace(rq, Handles{sit, fit, expire});
-  ++count_;
-
-  if (rq->dir == Dir::kRead && rq->sync) {
-    CtxStats& st = stats_[rq->ctx];
-    if (st.has_completion) {
-      record_think_sample(st, static_cast<double>((now - st.last_completion).ns()));
-      st.has_completion = false;  // one think sample per completion
-    }
-    st.last_end = rq->end();
-    st.has_pos = true;
-  }
-
+  q_.add(rq, now);
+  if (rq->dir != Dir::kRead || !rq->sync) return;
+  think_[rq->ctx].issue(now);
   // A request from the anticipated context satisfies the anticipation: the
   // BlockLayer will re-poll dispatch() on this add and we hand it out.
-  if (anticipating_ && rq->ctx == antic_ctx_ && rq->dir == Dir::kRead && rq->sync) {
-    antic_hit_ = rq;
-  }
+  if (anticipating_ && rq->ctx == antic_ctx_) antic_hit_ = rq;
 }
 
-void AnticipatoryScheduler::remove(Request* rq) {
-  auto it = handles_.find(rq);
-  assert(it != handles_.end());
-  const int d = idx(rq->dir);
-  sorted_[d].erase(it->second.sorted_it);
-  fifo_[d].erase(it->second.fifo_it);
-  handles_.erase(it);
-  --count_;
+Request* AnticipatoryScheduler::serve(Request* rq) {
+  head_pos_ = rq->end();
   if (antic_hit_ == rq) antic_hit_ = nullptr;
+  q_.remove(rq);
+  return rq;
 }
 
 bool AnticipatoryScheduler::worth_anticipating(std::uint64_t ctx) const {
-  auto it = stats_.find(ctx);
-  if (it == stats_.end()) return true;  // optimistic about unknown contexts
-  const CtxStats& st = it->second;
-  if (!st.has_think) return true;
   // The kernel anticipates only while the process's mean think time stays
-  // within (a small multiple of) the anticipation window.
-  return st.think_ewma_ns <=
-         tun_.think_factor * static_cast<double>(tun_.antic_expire.ns());
+  // within (a small multiple of) the anticipation window; it is optimistic
+  // about contexts it knows nothing of.
+  auto it = think_.find(ctx);
+  return it == think_.end() ||
+         it->second.within(tun_.think_factor *
+                           static_cast<double>(tun_.antic_expire.ns()));
 }
 
 Request* AnticipatoryScheduler::pick_candidate(Time now) {
   // Continue the current batch while its quantum lasts and the scan has not
   // run off the end of the queue.
   if (batch_active_) {
-    const int d = idx(batch_dir_);
-    if (now < batch_end_ && !sorted_[d].empty()) {
-      auto it = sorted_[d].lower_bound(batch_pos_);
-      if (it != sorted_[d].end()) return it->second;
+    if (now < batch_end_) {
+      if (Request* rq = q_.next(batch_dir_, head_pos_)) return rq;
     }
     batch_active_ = false;
   }
 
   // Start a new batch: prefer reads; switch to writes when reads are absent
   // or the oldest write has expired.
-  const bool reads = !sorted_[idx(Dir::kRead)].empty();
-  const bool writes = !sorted_[idx(Dir::kWrite)].empty();
-  if (!reads && !writes) return nullptr;
+  const bool reads = q_.has(Dir::kRead);
+  if (!reads && !q_.has(Dir::kWrite)) return nullptr;
+  const Dir dir =
+      !reads || q_.expired(Dir::kWrite, now) ? Dir::kWrite : Dir::kRead;
 
-  Dir dir = Dir::kRead;
-  if (!reads) {
-    dir = Dir::kWrite;
-  } else if (writes) {
-    Request* whead = fifo_[idx(Dir::kWrite)].front();
-    if (handles_.at(whead).expire <= now) dir = Dir::kWrite;
-  }
-
-  const int d = idx(dir);
   batch_active_ = true;
   batch_dir_ = dir;
   batch_end_ = now + (dir == Dir::kRead ? tun_.read_batch_expire
                                         : tun_.write_batch_expire);
-
-  // Deadline jump if the direction's oldest request expired, else continue
-  // the one-way scan from the head position (wrap to lowest LBA).
-  Request* head = fifo_[d].front();
-  if (handles_.at(head).expire <= now) return head;
-  auto it = sorted_[d].lower_bound(head_pos_);
-  if (it == sorted_[d].end()) it = sorted_[d].begin();
-  return it->second;
+  return q_.start(dir, head_pos_, now);
 }
 
 Request* AnticipatoryScheduler::dispatch(Time now) {
-  if (count_ == 0) return nullptr;
+  if (q_.empty()) return nullptr;
 
   if (anticipating_) {
     if (antic_hit_ != nullptr) {
       // The context we waited for came back: serve it immediately.
-      Request* rq = antic_hit_;
       anticipating_ = false;
       antic_armed_ = false;
-      antic_hit_ = nullptr;
-      batch_pos_ = rq->end();
-      head_pos_ = rq->end();
-      remove(rq);
-      return rq;
+      return serve(antic_hit_);
     }
     if (now < antic_until_) return nullptr;  // keep waiting
     // Timed out: penalize the context so we stop anticipating a process
     // that went away (kernel: think time grows past the window).
     anticipating_ = false;
     antic_armed_ = false;
-    CtxStats& st = stats_[antic_ctx_];
-    record_think_sample(st, 4.0 * static_cast<double>(tun_.antic_expire.ns()));
+    think_[antic_ctx_].sample(4.0 * static_cast<double>(tun_.antic_expire.ns()));
   }
 
   Request* cand = pick_candidate(now);
@@ -146,44 +88,22 @@ Request* AnticipatoryScheduler::dispatch(Time now) {
     }
     antic_armed_ = false;  // decided not to wait; don't reconsider
   }
-
-  batch_pos_ = cand->end();
-  head_pos_ = cand->end();
-  remove(cand);
-  return cand;
+  return serve(cand);
 }
 
 void AnticipatoryScheduler::on_complete(const Request& rq, Time now) {
-  CtxStats& st = stats_[rq.ctx];
-  if (rq.dir == Dir::kRead && rq.sync) {
-    st.has_completion = true;
-    st.last_completion = now;
-    antic_armed_ = true;
-    antic_ctx_ = rq.ctx;
-  }
-}
-
-std::optional<Time> AnticipatoryScheduler::wakeup(Time) const {
-  if (anticipating_) return antic_until_;
-  if (batch_active_ && count_ > 0) return std::nullopt;
-  return std::nullopt;
+  if (rq.dir != Dir::kRead || !rq.sync) return;
+  think_[rq.ctx].complete(now);
+  antic_armed_ = true;
+  antic_ctx_ = rq.ctx;
 }
 
 std::vector<Request*> AnticipatoryScheduler::drain() {
-  std::vector<Request*> out;
-  out.reserve(count_);
-  for (int d = 0; d < kNumDirs; ++d) {
-    for (Request* rq : fifo_[d]) out.push_back(rq);
-    fifo_[d].clear();
-    sorted_[d].clear();
-  }
-  handles_.clear();
-  count_ = 0;
   batch_active_ = false;
   anticipating_ = false;
   antic_armed_ = false;
   antic_hit_ = nullptr;
-  return out;
+  return q_.drain();
 }
 
 }  // namespace iosim::iosched

@@ -1,42 +1,45 @@
 // iosim: the anticipatory (AS) elevator.
 //
-// Deadline-style core (per-direction sorted queues + expiry FIFOs, one-way
-// scan, time-bounded batches) plus the defining feature: after a synchronous
-// read completes, if the next candidate belongs to a *different* context and
-// is far from the head, the scheduler deliberately idles up to `antic_expire`
-// waiting for the just-served context to issue its next (probably nearby)
-// read. Per-context think-time statistics (EWMA, like the kernel's
-// fixed-point means) gate the wait so processes that never come back stop
-// being anticipated.
+// The kernel's AS is deadline plus anticipation, and so is this one: the
+// DeadlineCore it shares with the deadline elevator (per-direction sorted
+// queues + expiry FIFOs, one-way scan) under time-bounded batches, plus the
+// defining feature: after a synchronous read completes, if the next
+// candidate belongs to a *different* context and is far from the head, the
+// scheduler deliberately idles up to `antic_expire` waiting for the
+// just-served context to issue its next (probably nearby) read. Per-context
+// ThinkTime gates the wait so processes that never come back stop being
+// anticipated.
 //
 // At the Dom0 layer each VM is one context, so anticipation keeps the head
 // inside one VM's disk image while that VM streams — the mechanism behind
 // AS being the best VMM-level scheduler in the paper's Table I.
 #pragma once
 
-#include <list>
-#include <map>
 #include <unordered_map>
-#include <unordered_set>
 
+#include "iosched/deadline_core.hpp"
 #include "iosched/scheduler.hpp"
+#include "iosched/think_time.hpp"
 
 namespace iosim::iosched {
 
 class AnticipatoryScheduler final : public IoScheduler {
  public:
-  explicit AnticipatoryScheduler(const AnticipatoryTunables& tun) : tun_(tun) {}
+  explicit AnticipatoryScheduler(const AnticipatoryTunables& tun)
+      : tun_(tun), q_(tun.read_expire, tun.write_expire) {}
 
   SchedulerKind kind() const override { return SchedulerKind::kAnticipatory; }
 
   void add(Request* rq, Time now) override;
   Request* dispatch(Time now) override;
   void on_complete(const Request& rq, Time now) override;
-  std::optional<Time> wakeup(Time) const override;
-  void note_back_merge(Request*) override {}
+  std::optional<Time> wakeup(Time) const override {
+    if (anticipating_) return antic_until_;
+    return std::nullopt;
+  }
 
-  bool empty() const override { return count_ == 0; }
-  std::size_t size() const override { return count_; }
+  bool empty() const override { return q_.empty(); }
+  std::size_t size() const override { return q_.size(); }
   std::vector<Request*> drain() override;
 
   /// True while the scheduler is inside an anticipation window (exposed for
@@ -44,44 +47,20 @@ class AnticipatoryScheduler final : public IoScheduler {
   bool anticipating() const { return anticipating_; }
 
  private:
-  using SortedQueue = std::multimap<Lba, Request*>;
-  using Fifo = std::list<Request*>;
-
-  struct Handles {
-    SortedQueue::iterator sorted_it;
-    Fifo::iterator fifo_it;
-    Time expire;
-  };
-
-  /// Per-context behaviour statistics (kernel: struct as_io_context).
-  struct CtxStats {
-    bool has_completion = false;
-    Time last_completion;
-    bool has_think = false;
-    double think_ewma_ns = 0.0;
-    bool has_pos = false;
-    Lba last_end = 0;
-  };
-
-  int idx(Dir d) const { return static_cast<int>(d); }
-  void remove(Request* rq);
   Request* pick_candidate(Time now);
   bool worth_anticipating(std::uint64_t ctx) const;
-  void record_think_sample(CtxStats& st, double sample_ns);
+  /// Hand `rq` to the device: the head (and the batch scan) moves to its end.
+  Request* serve(Request* rq);
 
   AnticipatoryTunables tun_;
-  SortedQueue sorted_[kNumDirs];
-  Fifo fifo_[kNumDirs];
-  std::unordered_map<Request*, Handles> handles_;
-  std::size_t count_ = 0;
+  DeadlineCore q_;
 
   // Batch state: time-bounded one-way scan per direction.
   bool batch_active_ = false;
   Dir batch_dir_ = Dir::kRead;
   Time batch_end_;
-  Lba batch_pos_ = 0;
 
-  Lba head_pos_ = 0;  // end of last dispatched request
+  Lba head_pos_ = 0;  // end of last dispatched request; the scan resumes here
 
   // Anticipation state.
   bool antic_armed_ = false;        // a sync read just completed
@@ -90,7 +69,9 @@ class AnticipatoryScheduler final : public IoScheduler {
   Time antic_until_;
   Request* antic_hit_ = nullptr;    // request from antic_ctx_ that arrived
 
-  std::unordered_map<std::uint64_t, CtxStats> stats_;
+  /// Think time of each context that issued or completed a sync read
+  /// (kernel: struct as_io_context).
+  std::unordered_map<std::uint64_t, ThinkTime> think_;
 };
 
 }  // namespace iosim::iosched

@@ -5,13 +5,7 @@
 namespace iosim::iosched {
 
 CfqScheduler::CfqQueue* CfqScheduler::queue_for(const Request& rq) {
-  if (!rq.sync) return &async_queue_;
-  auto [it, inserted] = sync_queues_.try_emplace(rq.ctx);
-  if (inserted) {
-    it->second.ctx = rq.ctx;
-    it->second.sync = true;
-  }
-  return &it->second;
+  return rq.sync ? &sync_queues_[rq.ctx] : &async_queue_;
 }
 
 void CfqScheduler::enqueue_rr(CfqQueue* cq) {
@@ -22,19 +16,7 @@ void CfqScheduler::enqueue_rr(CfqQueue* cq) {
 
 void CfqScheduler::add(Request* rq, Time now) {
   CfqQueue* cq = queue_for(*rq);
-  if (cq->sync && cq->has_completion) {
-    const double sample =
-        static_cast<double>((now - cq->last_completion).ns());
-    if (!cq->has_think) {
-      cq->think_ewma_ns = sample;
-      cq->has_think = true;
-    } else {
-      const double alpha = sample > cq->think_ewma_ns ? tun_.ewma_alpha_up
-                                                      : tun_.ewma_alpha_down;
-      cq->think_ewma_ns += alpha * (sample - cq->think_ewma_ns);
-    }
-    cq->has_completion = false;
-  }
+  cq->think.issue(now);  // only sync queues see completions
   cq->q.emplace(rq->lba, rq);
   ++count_;
   enqueue_rr(cq);
@@ -45,8 +27,7 @@ void CfqScheduler::add(Request* rq, Time now) {
 
 Request* CfqScheduler::take_from(CfqQueue* cq) {
   assert(!cq->q.empty());
-  auto it = cq->q.lower_bound(cq->pos);
-  if (it == cq->q.end()) it = cq->q.begin();  // wrap: one-way scan
+  auto it = scan_from(cq->q, cq->pos);
   Request* rq = it->second;
   cq->q.erase(it);
   cq->pos = rq->end();
@@ -54,8 +35,7 @@ Request* CfqScheduler::take_from(CfqQueue* cq) {
   return rq;
 }
 
-void CfqScheduler::deactivate(Time now) {
-  (void)now;
+void CfqScheduler::deactivate() {
   CfqQueue* q = active_;
   if (q == nullptr) return;
   // Clear active_ first: enqueue_rr refuses to queue the active queue.
@@ -72,16 +52,14 @@ Request* CfqScheduler::dispatch(Time now) {
       const bool quantum_over =
           !active_->sync && active_dispatched_ >= tun_.async_quantum;
       if (slice_over || quantum_over) {
-        deactivate(now);
+        deactivate();
       } else if (!active_->q.empty()) {
         idling_ = false;
         ++active_dispatched_;
         return take_from(active_);
       } else if (active_->sync &&
-                 (!active_->has_think ||
-                  active_->think_ewma_ns <=
-                      tun_.idle_think_factor *
-                          static_cast<double>(tun_.slice_idle.ns()))) {
+                 active_->think.within(tun_.idle_think_factor *
+                                       static_cast<double>(tun_.slice_idle.ns()))) {
         // Empty sync queue inside its slice: keep the disk idle briefly so
         // the owner's next sequential request does not lose the head — but
         // only for owners who historically come back within the window.
@@ -91,9 +69,9 @@ Request* CfqScheduler::dispatch(Time now) {
           if (idle_until_ > slice_end_) idle_until_ = slice_end_;
         }
         if (now < idle_until_) return nullptr;  // wakeup() says when
-        deactivate(now);
+        deactivate();
       } else {
-        deactivate(now);  // async queue drained: move on immediately
+        deactivate();  // async queue drained: move on immediately
       }
       continue;
     }
@@ -112,8 +90,7 @@ void CfqScheduler::on_complete(const Request& rq, Time now) {
   if (!rq.sync) return;
   auto it = sync_queues_.find(rq.ctx);
   if (it == sync_queues_.end()) return;
-  it->second.has_completion = true;
-  it->second.last_completion = now;
+  it->second.think.complete(now);
 }
 
 std::optional<Time> CfqScheduler::wakeup(Time) const {

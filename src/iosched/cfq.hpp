@@ -9,19 +9,23 @@
 // seeking away. That idling is what gives CFQ its per-process fairness — and
 // the slice-switch seeks are what make it slightly slower than AS for
 // multi-VM streaming at the Dom0 level (paper Fig. 3: CFQ fairer, AS faster).
+// Each queue is served by the deadline family's one-way scan with wrap
+// (`scan_from`); idling is gated by the owner's ThinkTime, the estimator AS
+// uses too.
 #pragma once
 
 #include <deque>
-#include <map>
 #include <unordered_map>
 
+#include "iosched/deadline_core.hpp"
 #include "iosched/scheduler.hpp"
+#include "iosched/think_time.hpp"
 
 namespace iosim::iosched {
 
 class CfqScheduler final : public IoScheduler {
  public:
-  explicit CfqScheduler(const CfqTunables& tun) : tun_(tun) {}
+  explicit CfqScheduler(const CfqTunables& tun) : tun_(tun) { async_queue_.sync = false; }
 
   SchedulerKind kind() const override { return SchedulerKind::kCfq; }
 
@@ -29,7 +33,6 @@ class CfqScheduler final : public IoScheduler {
   Request* dispatch(Time now) override;
   void on_complete(const Request& rq, Time now) override;
   std::optional<Time> wakeup(Time) const override;
-  void note_back_merge(Request*) override {}
 
   bool empty() const override { return count_ == 0; }
   std::size_t size() const override { return count_; }
@@ -40,26 +43,21 @@ class CfqScheduler final : public IoScheduler {
 
  private:
   struct CfqQueue {
-    std::uint64_t ctx = 0;
     bool sync = true;
-    std::multimap<Lba, Request*> q;
+    SortedQueue q;
     Lba pos = 0;       // one-way scan position within the queue
     bool in_rr = false;
-    // Think-time tracking (gates slice idling, like the kernel's ttime_mean).
-    bool has_completion = false;
-    Time last_completion;
-    bool has_think = false;
-    double think_ewma_ns = 0.0;
+    ThinkTime think;   // gates slice idling, like the kernel's ttime_mean
   };
 
   void enqueue_rr(CfqQueue* cq);
-  void deactivate(Time now);
+  void deactivate();
   CfqQueue* queue_for(const Request& rq);
   Request* take_from(CfqQueue* cq);
 
   CfqTunables tun_;
   std::unordered_map<std::uint64_t, CfqQueue> sync_queues_;
-  CfqQueue async_queue_{/*ctx=*/0, /*sync=*/false, {}, 0, false, false, {}, false, 0.0};
+  CfqQueue async_queue_;
   std::deque<CfqQueue*> rr_;
   std::size_t count_ = 0;
 

@@ -1,56 +1,37 @@
 // iosim: the deadline elevator.
 //
 // Faithful to the classic Linux deadline discipline: per-direction sorted
-// trees plus per-direction FIFOs with expiry (reads 500 ms, writes 5 s).
-// Dispatch runs in batches that continue in ascending-LBA order; a new batch
+// trees plus per-direction FIFOs with expiry (reads 500 ms, writes 5 s), held
+// in the DeadlineCore it shares with AS. Dispatch runs in batches of
+// `fifo_batch` requests that continue in ascending-LBA order; a new batch
 // first checks the FIFO head of the chosen direction and jumps to it if its
 // deadline has passed. Reads are preferred, with a `writes_starved` bound.
 #pragma once
 
-#include <list>
-#include <map>
-#include <unordered_map>
-
+#include "iosched/deadline_core.hpp"
 #include "iosched/scheduler.hpp"
 
 namespace iosim::iosched {
 
 class DeadlineScheduler final : public IoScheduler {
  public:
-  explicit DeadlineScheduler(const DeadlineTunables& tun) : tun_(tun) {}
+  explicit DeadlineScheduler(const DeadlineTunables& tun)
+      : tun_(tun), q_(tun.read_expire, tun.write_expire) {}
 
   SchedulerKind kind() const override { return SchedulerKind::kDeadline; }
 
-  void add(Request* rq, Time now) override;
+  void add(Request* rq, Time now) override { q_.add(rq, now); }
   Request* dispatch(Time now) override;
   void on_complete(const Request&, Time) override {}
   std::optional<Time> wakeup(Time) const override { return std::nullopt; }
-  void note_back_merge(Request*) override {}
 
-  bool empty() const override { return count_ == 0; }
-  std::size_t size() const override { return count_; }
+  bool empty() const override { return q_.empty(); }
+  std::size_t size() const override { return q_.size(); }
   std::vector<Request*> drain() override;
 
  private:
-  using SortedQueue = std::multimap<Lba, Request*>;
-  using Fifo = std::list<Request*>;
-
-  struct Handles {
-    SortedQueue::iterator sorted_it;
-    Fifo::iterator fifo_it;
-    Time expire;  // absolute deadline
-  };
-
-  int idx(Dir d) const { return static_cast<int>(d); }
-  void remove(Request* rq);
-  Request* next_in_batch();
-  Request* start_batch(Dir d, Time now);
-
   DeadlineTunables tun_;
-  SortedQueue sorted_[kNumDirs];
-  Fifo fifo_[kNumDirs];
-  std::unordered_map<Request*, Handles> handles_;
-  std::size_t count_ = 0;
+  DeadlineCore q_;
 
   // Batch state.
   int batch_remaining_ = 0;

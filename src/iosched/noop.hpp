@@ -28,7 +28,6 @@ class NoopScheduler final : public IoScheduler {
 
   void on_complete(const Request&, Time) override {}
   std::optional<Time> wakeup(Time) const override { return std::nullopt; }
-  void note_back_merge(Request*) override {}
 
   bool empty() const override { return q_.empty(); }
   std::size_t size() const override { return q_.size(); }

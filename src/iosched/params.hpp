@@ -1,7 +1,10 @@
 // iosim: tunables for the four disciplines.
 //
 // Defaults mirror the Linux 2.6.22 kernel defaults (the paper's guest and
-// Dom0 kernel). Exposed as a struct so the ablation benches can sweep them.
+// Dom0 kernel). Exposed as a struct so the ablation benches can sweep them:
+// 16 settable values (deadline 4, AS 7, CFQ 5; noop has none). The
+// think-time EWMA weights AS and CFQ share are constants of their one
+// estimator, ThinkTime (think_time.hpp), not tunables.
 #pragma once
 
 #include "sim/time.hpp"
@@ -34,13 +37,6 @@ struct AnticipatoryTunables {
   std::int64_t close_window_sectors = 1024;
   /// Anticipate while think_mean <= think_factor * antic_expire.
   double think_factor = 1.5;
-  /// Think-time EWMA weights. Distrust builds quickly (a long gap or an
-  /// anticipation timeout pushes the mean up fast) and decays slowly, like
-  /// the kernel's asymmetric as_update_thinktime behaviour — otherwise a
-  /// CPU-bound task's short intra-burst gaps would keep re-arming doomed
-  /// anticipation at every compute boundary.
-  double ewma_alpha_up = 0.5;
-  double ewma_alpha_down = 0.125;
 };
 
 struct CfqTunables {
@@ -54,9 +50,6 @@ struct CfqTunables {
   /// (kernel: cfq_arm_slice_timer skips idling when ttime_mean exceeds
   /// slice_idle); expressed as a multiple of slice_idle.
   double idle_think_factor = 1.0;
-  /// Think-time EWMA weights (asymmetric, as for AS).
-  double ewma_alpha_up = 0.5;
-  double ewma_alpha_down = 0.125;
   /// Max requests dispatched from the async queue per activation round
   /// (bounds write starvation of reads).
   int async_quantum = 16;

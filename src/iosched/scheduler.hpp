@@ -65,10 +65,6 @@ class IoScheduler {
   /// while requests are queued; nullopt when not idling.
   virtual std::optional<Time> wakeup(Time now) const = 0;
 
-  /// Called by the BlockLayer after it back-merged a bio into `rq` (the
-  /// request's `sectors` grew; its start LBA did not move).
-  virtual void note_back_merge(Request* rq) = 0;
-
   virtual bool empty() const = 0;
   virtual std::size_t size() const = 0;
 

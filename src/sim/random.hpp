@@ -123,10 +123,6 @@ class Rng {
   /// True with probability p.
   bool chance(double p) { return uniform() < p; }
 
-  /// Derive an independent child stream (for per-component RNGs) without
-  /// consuming much parent state.
-  Rng fork() { return Rng(next_u64() ^ 0xA3EC647659359ACDULL); }
-
  private:
   static constexpr std::uint64_t rotl(std::uint64_t x, int k) {
     return (x << k) | (x >> (64 - k));

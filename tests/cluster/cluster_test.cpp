@@ -49,7 +49,7 @@ TEST(Cluster, BootsWithConfiguredPair) {
 TEST(Cluster, HostScopedSwitchReachesOnlyThatHost) {
   Cluster cl(tiny());
   const SchedulerPair p{SchedulerKind::kNoop, SchedulerKind::kAnticipatory};
-  EXPECT_TRUE(cl.try_switch_pair(p, 1));
+  cl.switch_pair(p, 1);
   cl.simr().run();  // drain freeze timers
   EXPECT_EQ(cl.host(1).pair(), p);
   EXPECT_EQ(cl.host(0).pair(), iosched::kDefaultPair);
@@ -60,7 +60,7 @@ TEST(Cluster, HostScopedSwitchReachesOnlyThatHost) {
 TEST(Cluster, SwitchPairReachesEveryHostAndGuest) {
   Cluster cl(tiny());
   const SchedulerPair p{SchedulerKind::kNoop, SchedulerKind::kAnticipatory};
-  EXPECT_TRUE(cl.try_switch_pair(p));
+  cl.switch_pair(p);
   cl.simr().run();  // drain freeze timers
   for (std::size_t h = 0; h < cl.n_hosts(); ++h) {
     EXPECT_EQ(cl.host(h).dom0_layer().scheduler_kind(), p.vmm);

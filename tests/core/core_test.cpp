@@ -168,7 +168,7 @@ TEST(AdaptiveController, SwitchCostSlowsTheJob) {
   std::uint64_t quiesces = 0;
   const double switched =
       cluster::run_job(tiny(), jc, [&](cluster::Cluster& cl, mapred::Job& job) {
-        job.on_maps_done = [&cl](Time) { cl.try_switch_pair(cl.pair()); };
+        job.on_maps_done = [&cl](Time) { cl.switch_pair(cl.pair()); };
         job.on_done = [&cl, &quiesces](Time) {
           quiesces = cl.host(0).dom0_layer().counters().scheduler_switches;
         };

@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -194,28 +195,77 @@ TEST(FineGrained, DelayedSwitchLandsLateByTheDelay) {
   cl.simr().run();
   EXPECT_TRUE(job.done());
 
-  // Per host: when the controller issued each switch (its core-track
-  // instant) and when the host's elevators actually changed.
+  // Per host: when the controller traced each switch (its core-track
+  // `fg switch` instant) and when the host's elevators actually changed;
+  // and when the samples that issue commands ran.
   trace::Tracer& tr = session.tracer();
-  std::map<std::int64_t, std::vector<std::int64_t>> issued;
+  std::map<std::int64_t, std::vector<std::int64_t>> traced;
   std::map<std::int64_t, std::vector<std::int64_t>> landed;
+  std::set<std::int64_t> samples;
   std::map<std::uint32_t, std::int64_t> host_of_track;
   for (std::int64_t h = 0; h < static_cast<std::int64_t>(cl.n_hosts()); ++h) {
     host_of_track[tr.track("host" + std::to_string(h))] = h;
   }
   tr.for_each([&](const trace::Event& ev) {
-    if (ev.name == tr.ids.fg_switch) issued[ev.arg[0]].push_back(ev.ts_ns);
+    if (ev.name == tr.ids.fg_switch) traced[ev.arg[0]].push_back(ev.ts_ns);
+    if (ev.name == tr.ids.fg_sample) samples.insert(ev.ts_ns);
     if (ev.name == tr.ids.pair_switch && ev.cat == tr.ids.cat_virt) {
       landed[host_of_track.at(ev.track)].push_back(ev.ts_ns);
     }
   });
-  ASSERT_FALSE(issued.empty());
-  for (const auto& [host, times] : issued) {
-    ASSERT_EQ(landed[host].size(), times.size()) << host;
-    for (std::size_t i = 0; i < times.size(); ++i) {
-      EXPECT_EQ(landed[host][i], times[i] + sim::Time::from_sec(2).ns()) << host;
+  ASSERT_FALSE(traced.empty());
+  int switches = 0;
+  for (const auto& [host, times] : landed) {
+    // The controller counts and traces a switch when it lands, which is
+    // the delay after the sample that issued the command.
+    EXPECT_EQ(traced[host], times) << host;
+    for (const std::int64_t t : times) {
+      EXPECT_TRUE(samples.count(t - sim::Time::from_sec(2).ns())) << host << " " << t;
     }
+    switches += static_cast<int>(times.size());
   }
+  EXPECT_EQ(ctl->switches(), switches);
+}
+
+TEST(FineGrained, DecisionForTheBootPairCancelsADelayedSwitch) {
+  // A command to dd is in flight when the next decision picks the boot
+  // pair back: the stale command must never land.
+  cluster::Cluster cl(tiny_with_faults("switchdelay:delay=2"));
+  auto sw = PairSwitcher::create(cl);
+  int landed = 0;
+  sw->on_switched = [&landed](int, SchedulerPair) { ++landed; };
+  const SchedulerPair dd{SchedulerKind::kDeadline, SchedulerKind::kDeadline};
+  sw->request(0, dd);
+  EXPECT_EQ(sw->heading(), dd);
+  EXPECT_EQ(sw->switches(), 0);  // accepted, not landed
+  cl.simr().after(sim::Time::from_sec(1),
+                  [&sw] { sw->decide(1, iosched::kDefaultPair); });
+  cl.simr().run();
+  EXPECT_EQ(cl.pair(), iosched::kDefaultPair);
+  EXPECT_EQ(sw->heading(), iosched::kDefaultPair);
+  EXPECT_EQ(sw->switches(), 0);
+  EXPECT_EQ(landed, 0);
+  for (std::size_t h = 0; h < cl.n_hosts(); ++h) {
+    EXPECT_EQ(cl.host(h).dom0_layer().counters().scheduler_switches, 0u) << h;
+  }
+}
+
+TEST(FineGrained, DecisionForTheInFlightTargetKeepsItsLanding) {
+  // Deciding again for the pair already in flight neither re-issues the
+  // command nor restarts its delay.
+  cluster::Cluster cl(tiny_with_faults("switchdelay:delay=2"));
+  auto sw = PairSwitcher::create(cl);
+  std::vector<std::int64_t> landed_at;
+  sw->on_switched = [&cl, &landed_at](int, SchedulerPair) {
+    landed_at.push_back(cl.simr().now().ns());
+  };
+  const SchedulerPair dd{SchedulerKind::kDeadline, SchedulerKind::kDeadline};
+  sw->decide(0, dd);
+  cl.simr().after(sim::Time::from_sec(1), [&sw, dd] { sw->decide(1, dd); });
+  cl.simr().run();
+  EXPECT_EQ(cl.pair(), dd);
+  EXPECT_EQ(landed_at, std::vector<std::int64_t>{sim::Time::from_sec(2).ns()});
+  EXPECT_EQ(cl.faults()->counters().switches_delayed, 1u);
 }
 
 }  // namespace

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <map>
 #include <set>
+#include <string>
 
 #include "iosched/pair.hpp"
 #include "iosched/scheduler.hpp"
@@ -149,6 +152,184 @@ INSTANTIATE_TEST_SUITE_P(
       }
       return n;
     });
+
+// A seeded mixed trace driven through one elevator as a queue-depth-1
+// device would drive it, with wakeup()-driven idling. Ten contexts each run
+// one reader: a sync read, then the next one a think time after it
+// completes — the first six mostly inside the idle windows, the rest mostly
+// past them. Background arrivals add sync and async reads and writes from
+// every context, and a burst of scattered async I/O mid-run leaves a
+// backlog older than every expiry. Requests mostly continue where their
+// context left off, broken by jumps. The digest is FNV-1a over the dispatch
+// sequence (id, time) followed by the ids of the final drain().
+struct PinnedRun {
+  std::uint64_t digest = 0xcbf29ce484222325ULL;
+  int dispatched = 0;
+  int drained = 0;
+  int idles = 0;
+  int hits = 0;      // idle episodes cut short by an arrival
+  int timeouts = 0;  // idle episodes that ran to their wakeup time
+};
+
+PinnedRun run_pinned_mix(SchedulerKind kind) {
+  constexpr int kContexts = 10;
+  constexpr Lba kRegion = Lba{1} << 22;
+  constexpr int kBackground = 2000;
+  struct Arrival {
+    std::uint64_t ctx;
+    Dir dir;
+    bool sync;
+    bool seq;
+    bool reader;  // the context's reader (else background)
+  };
+
+  auto s = make_scheduler(kind);
+  RequestFactory f;
+  sim::Rng rng(20240611);
+  PinnedRun out;
+  auto mix = [&out](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      out.digest ^= (v >> (8 * i)) & 0xffU;
+      out.digest *= 0x100000001b3ULL;
+    }
+  };
+  // Contexts c and c + 5 share a region, their streams starting 1 MB apart.
+  auto base = [](std::uint64_t ctx) { return static_cast<Lba>(ctx % 5) * kRegion; };
+  auto us = [&rng](std::uint64_t lo, std::uint64_t hi) {
+    return sim::Time::from_us(static_cast<std::int64_t>(lo + rng.below(hi - lo)));
+  };
+
+  std::multimap<sim::Time, Arrival> arrivals;
+  sim::Time t = 0_ms;
+  for (int i = 0; i < kBackground; ++i) {
+    t += us(0, 4000);
+    const bool write = rng.chance(0.55);
+    arrivals.emplace(t, Arrival{rng.below(kContexts), write ? Dir::kWrite : Dir::kRead,
+                                rng.chance(write ? 0.2 : 0.65), rng.chance(0.75), false});
+  }
+  const sim::Time end = t;
+  // Mid-run burst of scattered async reads and writes (readahead and
+  // writeback): a backlog that outlives every expiry.
+  for (int i = 0; i < 800; ++i) {
+    arrivals.emplace(end / 2 + us(0, 20'000),
+                     Arrival{rng.below(kContexts), i % 2 ? Dir::kWrite : Dir::kRead,
+                             false, false, false});
+  }
+  Lba pos[kContexts];
+  std::uint64_t reader_rq[kContexts] = {};
+  for (std::uint64_t c = 0; c < kContexts; ++c) {
+    pos[c] = base(c) + static_cast<Lba>(c / 5) * 2048;
+    arrivals.emplace(us(0, 5000), Arrival{c, Dir::kRead, true, true, true});
+  }
+
+  sim::Time now = 0_ms;
+  Request* busy = nullptr;
+  sim::Time done;
+  Lba head = 0;
+  sim::Time wake = sim::Time::max();  // no wakeup armed
+  bool idling = false;
+  sim::Time idle_until;
+  while (true) {
+    sim::Time next = sim::Time::max();
+    if (!arrivals.empty()) next = arrivals.begin()->first;
+    if (busy != nullptr && done < next) next = done;
+    if (wake < next) next = wake;
+    if (next > end) break;
+    now = next;
+
+    if (busy != nullptr && done == now) {
+      s->on_complete(*busy, now);
+      if (busy->id == reader_rq[busy->ctx]) {
+        const bool quick = rng.chance(busy->ctx < 6 ? 0.85 : 0.15);
+        arrivals.emplace(now + (quick ? us(100, 4000) : us(10'000, 40'000)),
+                         Arrival{busy->ctx, Dir::kRead, true, rng.chance(0.9), true});
+      }
+      busy = nullptr;
+    }
+    while (!arrivals.empty() && arrivals.begin()->first == now) {
+      const Arrival a = arrivals.begin()->second;
+      arrivals.erase(arrivals.begin());
+      Lba& p = pos[a.ctx];
+      const Lba lba =
+          a.seq ? p
+                : base(a.ctx) + static_cast<Lba>(rng.below(static_cast<std::uint64_t>(kRegion)));
+      const auto sectors = static_cast<std::int64_t>(8 * (1 + rng.below(16)));
+      p = lba + sectors;
+      Request* rq = f.make(lba, sectors, a.dir, a.sync, a.ctx);
+      if (a.reader) reader_rq[a.ctx] = rq->id;
+      s->add(rq, now);
+    }
+    if (wake <= now) wake = sim::Time::max();
+    if (busy != nullptr) continue;
+
+    Request* rq = s->dispatch(now);
+    if (rq != nullptr) {
+      if (idling) {
+        ++(now < idle_until ? out.hits : out.timeouts);
+        idling = false;
+      }
+      mix(rq->id);
+      mix(static_cast<std::uint64_t>(now.ns()));
+      ++out.dispatched;
+      // A head move costs a 1 ms rotation plus a distance-scaled seek.
+      const Lba gap = std::llabs(rq->lba - head);
+      const Lba seek = gap == 0 ? 0 : 1000 + std::min<Lba>(gap / 4096, 4000);
+      done = now + sim::Time::from_us(150 + rq->sectors * 4 + seek);
+      head = rq->end();
+      busy = rq;
+      wake = sim::Time::max();
+    } else if (!s->empty()) {
+      const auto w = s->wakeup(now);
+      if (!w || *w <= now) {
+        ADD_FAILURE() << "idled without a future wakeup at " << now.ns();
+        break;
+      }
+      wake = *w;
+      if (!idling) {
+        idling = true;
+        idle_until = wake;
+        ++out.idles;
+      }
+    }
+  }
+  for (Request* rq : s->drain()) {
+    mix(rq->id);
+    ++out.drained;
+  }
+  return out;
+}
+
+std::string hex(std::uint64_t v) {
+  char buf[19];
+  std::snprintf(buf, sizeof buf, "0x%016llx", static_cast<unsigned long long>(v));
+  return buf;
+}
+
+// Pins every elevator's exact dispatch order and drain order over a mix
+// that makes AS anticipation both hit and time out and CFQ slice idling
+// both pay off and expire. A refactor of the disciplines must leave every
+// digest unchanged.
+TEST(SchedPin, MixedTraceDispatchAndDrainOrderArePinned) {
+  const std::pair<SchedulerKind, std::uint64_t> pins[] = {
+      {SchedulerKind::kNoop, 0xe7a2c8a8bc9a646fULL},
+      {SchedulerKind::kDeadline, 0xb418269d1d47b17dULL},
+      {SchedulerKind::kAnticipatory, 0x6922ab5f179f7815ULL},
+      {SchedulerKind::kCfq, 0xc8f3e078b5b48727ULL},
+  };
+  for (const auto& [kind, digest] : pins) {
+    SCOPED_TRACE(to_string(kind));
+    const PinnedRun r = run_pinned_mix(kind);
+    EXPECT_GT(r.dispatched, 500);
+    EXPECT_GT(r.drained, 0);
+    if (kind == SchedulerKind::kAnticipatory || kind == SchedulerKind::kCfq) {
+      EXPECT_GT(r.hits, 0);
+      EXPECT_GT(r.timeouts, 0);
+    } else {
+      EXPECT_EQ(r.idles, 0);
+    }
+    EXPECT_EQ(hex(r.digest), hex(digest));
+  }
+}
 
 TEST(Factory, MakesEveryKind) {
   for (SchedulerKind k : kAllSchedulerKinds) {

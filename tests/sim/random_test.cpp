@@ -186,20 +186,5 @@ TEST(DeriveRunSeed, AdjacentSeedsGiveUncorrelatedFirstDraws) {
   EXPECT_NEAR(sum / kN, 0.5, 0.05);
 }
 
-TEST(Rng, ForkProducesIndependentStream) {
-  Rng a(37);
-  Rng child = a.fork();
-  // The child stream is deterministic given the parent...
-  Rng b(37);
-  Rng child2 = b.fork();
-  for (int i = 0; i < 100; ++i) EXPECT_EQ(child.next_u64(), child2.next_u64());
-  // ...and differs from the parent's continuation.
-  int same = 0;
-  for (int i = 0; i < 64; ++i) {
-    if (a.next_u64() == child.next_u64()) ++same;
-  }
-  EXPECT_LT(same, 2);
-}
-
 }  // namespace
 }  // namespace iosim::sim
